@@ -9,6 +9,7 @@ from .algebra import (
     ab_to_frieze,
     cyclically_equal,
     frieze_to_matrix,
+    frieze_w,
     reduce_frieze,
     s3_image,
     second_half,
@@ -22,6 +23,7 @@ from .classify import (
     enumerate_labels,
     enumerate_p0,
     level_slope_of,
+    radii_of,
     type_of,
 )
 from .lissajous import (
@@ -40,7 +42,6 @@ from .report import Report, build_report
 from .surd import (
     CfExpansion,
     QuadSurd,
-    approx,
     cf_expand,
     cf_evaluate,
     dilatation,

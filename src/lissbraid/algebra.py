@@ -177,6 +177,17 @@ def frieze_to_matrix(word: str) -> Psl2Mat:
     return mat
 
 
+def frieze_w(half: str) -> tuple[str, Psl2Mat]:
+    """The word W = H A H^-1 A of a reduced palindromic half H, and its matrix.
+
+    second_half moves every letter into the other free factor, so after
+    the palindrome H (which ends in its first letter) it continues to
+    alternate factors: W is reduced without a reduction pass.
+    """
+    w = half + second_half(half)
+    return w, frieze_to_matrix(w)
+
+
 def trace_class(mat: Psl2Mat) -> str:
     """'elliptic', 'parabolic' or 'hyperbolic' by |trace| against 2."""
     t = abs(mat.trace())

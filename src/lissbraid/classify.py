@@ -97,12 +97,17 @@ _PARTNER = {"b": "q", "q": "b", "d": "p", "p": "d"}
 _OTHER = {"b": "d", "d": "b", "p": "q", "q": "p"}
 
 
+def radii_of(label: LevelSlope) -> tuple[int, ...]:
+    """Cluster radii in {N, N+1}: varphi_N of the palindromic conjugate of
+    the Christoffel word of slope q/p."""
+    return varphi_n(label.level, palindromic_conjugate(christoffel(label.p, label.q)))
+
+
 def clusters_of(label: LevelSlope) -> ClusterSeq:
     """Cluster form of H for a label: radii, leading letter, and the word."""
-    pal = palindromic_conjugate(christoffel(label.p, label.q))
-    radii = varphi_n(label.level, pal)
-    m, _ = type_of(label)
-    lead = "d" if m > 0 else "b"
+    radii = radii_of(label)
+    # |m| = p(3N-2) + q(3N+1) = p + q (mod 3), and m > 0 iff |m| = 1 (mod 3)
+    lead = "d" if (label.p + label.q) % 3 == 1 else "b"
     parts = []
     for r in radii:
         other = _OTHER[lead]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 usage/input error, 2 collision type (classify only),
-3 verification failure.
+Exit codes: 0 ok, 1 usage/input error (including an empty verify
+selection and files plot cannot write), 2 collision type (classify
+only), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ def cmd_classify(args) -> int:
 
 def cmd_from_label(args) -> int:
     p, q = _parse_slope(args.slope)
-    try:
-        label = LevelSlope(args.level, p, q)
-    except LissbraidError:
-        raise
-    m, n = type_of(label)
+    m, n = type_of(LevelSlope(args.level, p, q))
     _emit_report(build_report(m, n), args.json)
     return 0
 
@@ -94,6 +91,8 @@ def cmd_syzygy(args) -> int:
 
 def cmd_plot(args) -> int:
     m, n = _parse_type(args.type)
+    if not 0 < args.ratio < 1:
+        raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
     nt = normalize(m, n)
     if args.kind == "shape":
         if not is_collision_free(m, n):
@@ -132,6 +131,8 @@ def cmd_verify(args) -> int:
     if args.max_level is not None:
         kwargs["max_level"] = args.max_level
     cases = SUITES[args.suite](**kwargs)
+    if not cases:
+        raise LissbraidError(f"the bounds select no {args.suite} cases")
     failures = 0
     for name, ok, detail in cases:
         print(f"{'PASS' if ok else 'FAIL'} {name}  {detail}")
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except LissbraidError as err:
+    except (LissbraidError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Psl2Mat, frieze_to_matrix, reduce_frieze, second_half, trace_class
+from .algebra import Psl2Mat, frieze_w, trace_class
 from .classify import LevelSlope, level_slope_of
-from .lissajous import NormalizedType, build_H, is_collision_free, normalize, reduce_to_p0
+from .lissajous import NormalizedType, build_H, normalize, reduce_to_p0
 from .surd import CfExpansion, QuadSurd, cf_expand, dilatation, far_endpoint
 from .syzygy import omega, syzygy_sequence
 
@@ -21,7 +21,6 @@ from .syzygy import omega, syzygy_sequence
 class Report:
     input_type: tuple[int, int]
     normalized: NormalizedType
-    collision_free: bool
     p0: tuple[int, int]
     label: LevelSlope
     frieze_h: str
@@ -30,17 +29,22 @@ class Report:
     trace: int
     trace_class: str
     dilatation_exact: QuadSurd
-    dilatation_approx: float
     far_endpoint: QuadSurd
     cf: CfExpansion
     omega: str
     syzygy_period: str
 
+    @property
+    def dilatation_approx(self) -> float:
+        """Float of the dilatation, computed on read: it overflows for
+        dilatations of 2**1024 or more, which cf and syzygy never print."""
+        return self.dilatation_exact.approx()
+
     def to_json_dict(self) -> dict:
         return {
             "input": {"m": self.input_type[0], "n": self.input_type[1]},
             "normalized": self.normalized.to_json_dict(),
-            "collision_free": self.collision_free,
+            "collision_free": True,
             "p0": {"m": self.p0[0], "n": self.p0[1]},
             "level": self.label.level,
             "slope": self.label.slope_str,
@@ -61,7 +65,7 @@ class Report:
         lines = [
             f"input:        ({d['input']['m']},{d['input']['n']})",
             f"normalized:   ({d['normalized']['m']},{d['normalized']['n']})  ell={d['normalized']['ell']}",
-            f"collision_free: {str(self.collision_free).lower()}",
+            "collision_free: true",
             f"p0:           ({d['p0']['m']},{d['p0']['n']})",
             f"level:        {self.label.level}",
             f"slope:        {self.label.slope_str}",
@@ -84,14 +88,12 @@ def build_report(m: int, n: int) -> Report:
     p0 = reduce_to_p0(nt)
     label = level_slope_of(*p0)
     h = build_H(normalize(*p0))
-    w = reduce_frieze(h + second_half(h))
-    mat = frieze_to_matrix(w)
+    w, mat = frieze_w(h)
     dil = dilatation(mat)
     far = far_endpoint(mat)
     return Report(
         input_type=(m, n),
         normalized=nt,
-        collision_free=True,
         p0=p0,
         label=label,
         frieze_h=h,
@@ -100,7 +102,6 @@ def build_report(m: int, n: int) -> Report:
         trace=abs(mat.trace()),
         trace_class=trace_class(mat),
         dilatation_exact=dil,
-        dilatation_approx=dil.approx(),
         far_endpoint=far,
         cf=cf_expand(far),
         omega=omega(label),
@@ -117,4 +118,4 @@ def collision_report_dict(m: int, n: int, nt: NormalizedType) -> dict:
     }
 
 
-__all__ = ["Report", "build_report", "collision_report_dict", "is_collision_free"]
+__all__ = ["Report", "build_report", "collision_report_dict"]

@@ -25,7 +25,7 @@ def _split_square(d: int) -> tuple[int, int]:
     """d = c*c * rest with rest free of small square factors.
 
     Peels squares of primes up to 1000 and a final perfect-square check;
-    used for display and canonical equality only.
+    used for display only.
     """
     c = 1
     if _is_square(d):
@@ -83,7 +83,12 @@ class QuadSurd:
     def floor(self) -> int:
         return _floor_surd(self.P, self.Q, self.D)
 
-    def _canonical(self) -> tuple[int, int, int, int]:
+    def _key(self) -> tuple[Fraction, Fraction, bool]:
+        """Rational part, square and sign of the irrational part: sqrt(D) is
+        irrational, so equal keys mean equal values, without any factoring."""
+        return (Fraction(self.P, self.Q), Fraction(self.D, self.Q * self.Q), self.Q > 0)
+
+    def _display(self) -> tuple[int, int, int, int]:
         """(P, c, d, Q) with value (P + c*sqrt(d))/Q, Q > 0, gcd(P,c,Q) = 1."""
         c, d = _split_square(self.D)
         p, q = self.P, self.Q
@@ -95,13 +100,13 @@ class QuadSurd:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadSurd):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash(self._key())
 
     def __str__(self) -> str:
-        p, c, d, q = self._canonical()
+        p, c, d, q = self._display()
         root = f"{abs(c)}√{d}" if abs(c) != 1 else f"√{d}"
         sign = "+" if c > 0 else "-"
         if p == 0:
@@ -112,11 +117,6 @@ class QuadSurd:
 
     def __repr__(self) -> str:
         return f"QuadSurd(P={self.P}, Q={self.Q}, D={self.D})"
-
-
-def approx(x: QuadSurd) -> float:
-    """Floating approximation (plots and tie-free comparisons only)."""
-    return x.approx()
 
 
 def _abs_cmp(x: QuadSurd, y: QuadSurd) -> int:

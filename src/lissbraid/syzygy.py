@@ -8,10 +8,9 @@ cyclic neighbours.
 
 from __future__ import annotations
 
-from .classify import LevelSlope, level_slope_of
+from .classify import LevelSlope, level_slope_of, radii_of
 from .errors import NotPrimitive
 from .lissajous import is_primitive
-from .words import christoffel, palindromic_conjugate, varphi_n
 
 
 def omega(label: LevelSlope) -> str:
@@ -19,8 +18,7 @@ def omega(label: LevelSlope) -> str:
 
     The length is p(2N-1) + q(2N+1), the letter length of H.
     """
-    radii = varphi_n(label.level, palindromic_conjugate(christoffel(label.p, label.q)))
-    return "".join("+-" * (r - 1) + "+" for r in radii)
+    return "".join("+-" * (r - 1) + "+" for r in radii_of(label))
 
 
 def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:

@@ -10,15 +10,8 @@ import random
 from math import gcd
 from typing import Callable
 
-from .algebra import (
-    A_MAT,
-    ab_to_frieze,
-    cyclically_equal,
-    frieze_to_matrix,
-    reduce_frieze,
-    second_half,
-)
-from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of
+from .algebra import A_MAT, ab_to_frieze, cyclically_equal, frieze_w
+from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, radii_of, type_of
 from .lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
 from .shapetrace import (
     COLLISION_EPS,
@@ -93,11 +86,9 @@ def suite_cf(max_m: int = 60, **_) -> list[Case]:
     """CF periods: entries odd and cyclically equal to (2r-1)."""
     out: list[Case] = []
     for m, n in enumerate_p0(max_m):
-        nt = normalize(m, n)
-        h = build_H(nt)
-        mat = frieze_to_matrix(reduce_frieze(h + second_half(h)))
+        _, mat = frieze_w(build_H(normalize(m, n)))
         cf = cf_expand(far_endpoint(mat))
-        radii = clusters_of(level_slope_of(m, n)).radii
+        radii = radii_of(level_slope_of(m, n))
         odd = all(a % 2 == 1 for a in cf.period)
         match = matches_cluster_period(cf, radii)
         out.append((f"cf ({m},{n})", odd and match,
@@ -114,9 +105,8 @@ def suite_cluster(max_m: int = 200, seed: int = 0, **_) -> list[Case]:
         h = build_H(nt)
         label = level_slope_of(m, n)
         ok_letters = clusters_of(label).letters == h
-        w = reduce_frieze(h + second_half(h))
+        w, mat = frieze_w(h)
         ok_w = ab_to_frieze(build_W(nt)) == w
-        mat = frieze_to_matrix(w)
         ok_sym = A_MAT * mat.inverse() * A_MAT == mat
         rot = rng.randrange(len(w))
         ok_conj = cyclically_equal(w, w[rot:] + w[:rot])

@@ -6,33 +6,15 @@ line per criterion.
 
 import functools
 import math
-from math import gcd
 
-from lissbraid.algebra import (
-    A_MAT,
-    CYCLE_123,
-    CYCLE_132,
-    Psl2Mat,
-    ab_to_frieze,
-    frieze_to_matrix,
-    reduce_frieze,
-    s3_image,
-    second_half,
-    trace_class,
-)
-from lissbraid.classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of
-from lissbraid.lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
+from lissbraid.algebra import CYCLE_123, CYCLE_132, Psl2Mat, frieze_w, s3_image, trace_class
+from lissbraid.classify import enumerate_p0, level_slope_of
+from lissbraid.lissajous import build_H, build_W, epsilon_seq, normalize
 from lissbraid.report import build_report
-from lissbraid.shapetrace import (
-    COLLISION_EPS,
-    SEPARATION_EPS,
-    collision_scan,
-    epsilon_oracle,
-    region_itinerary,
-    syzygy_oracle,
-)
+from lissbraid.shapetrace import region_itinerary
 from lissbraid.surd import CfExpansion, QuadSurd, cf_expand, far_endpoint, matches_cluster_period
 from lissbraid.syzygy import omega, syzygy_sequence
+from lissbraid.verify import SUITES
 
 
 def criterion(num, desc):
@@ -101,44 +83,29 @@ def test_syzygy_example():
     assert syzygy_sequence(-8, 13) == "123131231232312312123123131231232312312123"
 
 
+def assert_suite(name, cases, **bounds):
+    """Run a verify suite at the given bounds: exactly `cases` cases, all ok."""
+    results = SUITES[name](**bounds)
+    assert len(results) == cases, (name, len(results))
+    failures = [c for c in results if not c[1]]
+    assert not failures, failures[:5]
+
+
 @criterion(5, "level/slope correspondence is a bijection on the stated ranges")
 def test_bijection():
-    for label in enumerate_labels(100, 10):
-        assert level_slope_of(*type_of(label)) == label
-    for t in enumerate_p0(200):
-        assert type_of(level_slope_of(*t)) == t
+    assert_suite("bijection", 2, max_m=200, max_sum=100, max_level=10)
 
 
 @criterion(6, "cluster construction equals the direct word; W splits into halves")
 def test_dual_construction():
-    for m, n in enumerate_p0(200):
-        nt = normalize(m, n)
-        h = build_H(nt)
-        assert clusters_of(level_slope_of(m, n)).letters == h
-        w = reduce_frieze(h + second_half(h))
-        assert w == ab_to_frieze(build_W(nt))
-        mat = frieze_to_matrix(w)
-        assert A_MAT * mat.inverse() * A_MAT == mat
+    assert_suite("cluster", 2042, max_m=200)
 
 
 @criterion(7, "numeric oracles agree with the exact routes")
 def test_oracle_agreement():
-    for m, n in enumerate_p0(30):
-        nt = normalize(m, n)
-        assert epsilon_oracle(nt) == epsilon_seq(nt).bits
-    for m in range(1, 11):
-        for n in range(-10, 11):
-            if n == 0 or gcd(m, n) != 1 or m % 3 == 0 or n % 3 == 0:
-                continue
-            minimum = collision_scan(m, n)
-            if is_collision_free(m, n):
-                assert minimum > SEPARATION_EPS, (m, n, minimum)
-            else:
-                assert minimum < COLLISION_EPS, (m, n, minimum)
-    for m, n in enumerate_p0(12):
-        numeric = syzygy_oracle(normalize(m, n))
-        symbolic = syzygy_sequence(m, n)
-        assert len(numeric) == len(symbolic) and numeric in symbolic + symbolic
+    assert_suite("epsilon", 129, max_m=30)
+    assert_suite("collision", 58, max_freq=10)
+    assert_suite("syzygy", 7, max_m=12)
 
 
 @criterion(8, "structural invariants hold over the whole family")
@@ -152,21 +119,14 @@ def test_structural_invariants():
             assert bits[am + k - 1] == bits[2 * am - k]
             assert bits[k - 1] + bits[am + k - 1] == 1
         h = build_H(nt)
-        w = reduce_frieze(h + second_half(h))
+        w, mat = frieze_w(h)
         assert s3_image(w) == CYCLE_132
         assert s3_image(h) == CYCLE_123
-        mat = frieze_to_matrix(w)
         assert trace_class(mat) == "hyperbolic"
         label = level_slope_of(m, n)
         assert len(h) % 2 == 1
         assert len(h) == label.p * (2 * label.level - 1) + label.q * (2 * label.level + 1)
-    for m, n in enumerate_p0(60):
-        nt = normalize(m, n)
-        h = build_H(nt)
-        mat = frieze_to_matrix(reduce_frieze(h + second_half(h)))
-        cf = cf_expand(far_endpoint(mat))
-        assert all(a % 2 == 1 for a in cf.period)
-        assert matches_cluster_period(cf, clusters_of(level_slope_of(m, n)).radii)
+    assert_suite("cf", 180, max_m=60)
 
 
 @criterion(9, "region itineraries match the two anchors exactly")

@@ -15,6 +15,7 @@ from lissbraid.algebra import (
     factor_of,
     frieze_inverse,
     frieze_to_matrix,
+    frieze_w,
     reduce_frieze,
     s3_image,
     second_half,
@@ -176,6 +177,16 @@ def test_second_half_is_a_inverse_a():
 def test_second_half_needs_palindrome():
     with pytest.raises(NotPalindromic):
         second_half("pq")
+
+
+@pytest.mark.parametrize("h,w,mat", [
+    ("dbd", "dbdpqp", Psl2Mat(10, 3, 3, 1)),
+    ("bqpqbqpqb", "bqpqbqpqbqbdbqbdbq", Psl2Mat(586, -741, -741, 937)),
+    ("p", "pd", Psl2Mat(2, -1, -1, 1)),
+])
+def test_frieze_w_examples(h, w, mat):
+    assert frieze_w(h) == (w, mat)
+    assert reduce_frieze(w) == w
 
 
 # --- cyclic equality -------------------------------------------------------

@@ -9,6 +9,7 @@ from lissbraid.classify import (
     enumerate_labels,
     enumerate_p0,
     level_slope_of,
+    radii_of,
     type_of,
 )
 from lissbraid.errors import CollisionType, InvalidLabel, NotPrimitive
@@ -62,7 +63,7 @@ def test_invalid_labels_rejected():
 ])
 def test_clusters_of_examples(label, radii, letters):
     cs = clusters_of(label)
-    assert cs.radii == radii
+    assert cs.radii == radii_of(label) == radii
     assert cs.letters == letters
     assert cs.radii == cs.radii[::-1]
 

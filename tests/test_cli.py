@@ -1,8 +1,12 @@
 import json
 import pathlib
 
+import pytest
+
 from lissbraid.classify import level_slope_of
 from lissbraid.cli import main
+from lissbraid.report import build_report
+from lissbraid.surd import cf_expand, far_endpoint
 from lissbraid.syzygy import omega, syzygy_sequence
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -120,6 +124,17 @@ def test_syzygy_command_json(capsys):
     }
 
 
+def test_cf_and_syzygy_beyond_float_range(capsys):
+    # the dilatation of (-740,1477) is above 2**1024; neither command prints it
+    far = far_endpoint(build_report(-740, 1477).matrix)
+    code, out, _ = run(capsys, "cf", "--type", "-740,1477", "--json")
+    assert code == 0
+    assert json.loads(out) == {"farEndpoint": str(far), "cf": cf_expand(far).to_json_dict()}
+    code, out, _ = run(capsys, "syzygy", "--type", "-740,1477")
+    assert code == 0
+    assert out.startswith("omega:")
+
+
 def test_enumerate_types(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-m", "4")
     assert code == 0
@@ -153,6 +168,13 @@ def test_verify_suite_syzygy(capsys):
     assert out.strip().endswith("cases pass")
 
 
+def test_verify_empty_selection_exits_1(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "cluster", "--max-m", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_plot_shape_svg(tmp_path, capsys):
     out_path = tmp_path / "s.svg"
     code, out, _ = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))
@@ -176,6 +198,24 @@ def test_plot_halfplane(tmp_path, capsys):
                      "--out", str(out_path), "--max-denominator", "3")
     assert code == 0
     assert "<svg" in out_path.read_text()
+
+
+@pytest.mark.parametrize("ratio", ["2", "nan", "0"])
+def test_plot_rejects_ratio_outside_unit_interval(tmp_path, capsys, ratio):
+    out_path = tmp_path / "s.svg"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--ratio", ratio,
+                         "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--ratio" in err
+
+
+def test_plot_unwritable_out_exits_1(tmp_path, capsys):
+    for out_path in (tmp_path / "missing" / "s.svg", tmp_path):
+        code, out, err = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Error" in err
 
 
 def test_text_and_json_agree(capsys):

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_to_matrix, reduce_frieze, second_half
+from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w
 from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
@@ -98,9 +98,8 @@ def test_h_halves_compose_to_w():
         nt = normalize(m, n)
         h = build_H(nt)
         assert len(h) % 2 == 1
-        w_from_h = reduce_frieze(h + second_half(h))
+        w_from_h, mat = frieze_w(h)
         assert w_from_h == ab_to_frieze(build_W(nt))
-        mat = frieze_to_matrix(w_from_h)
         assert mat == A_MAT * mat.inverse() * A_MAT
 
 
@@ -118,11 +117,11 @@ def test_word_anchors_beyond_primitive():
             nt = NormalizedType(m, n, (m - n) // 3)
             h = build_H(nt)
             assert h == h[::-1] and len(h) % 2 == 1
-            w = reduce_frieze(h + second_half(h))
+            w, mat = frieze_w(h)
             assert w == ab_to_frieze(build_W(nt))
             assert s3_image(h) == CYCLE_123
             assert s3_image(w) == CYCLE_132
-            assert trace_class(frieze_to_matrix(w)) == "hyperbolic"
+            assert trace_class(mat) == "hyperbolic"
 
 
 @pytest.mark.parametrize("mn,expected", [

@@ -51,6 +51,10 @@ def test_quadsurd_equality_across_forms():
     assert QuadSurd(11, 2, 117) == QuadSurd(11, 2, 117)
     assert QuadSurd(22, 4, 468) == QuadSurd(11, 2, 117)  # scaled by 2
     assert QuadSurd(3, 2, 13) != QuadSurd(-3, -2, 13)
+    # both are 1009*sqrt(2); 1009 is a prime beyond any trial division bound
+    x, y = QuadSurd(0, 1, 2 * 1009**2), QuadSurd(0, 1009, 2 * 1009**4)
+    assert x == y and hash(x) == hash(y)
+    assert QuadSurd(1, 1, 2 * 1009**2) != x  # same irrational part, other rational part
 
 
 def test_fixed_points_examples():
