@@ -54,6 +54,7 @@ from .words import (
     christoffel,
     cluster_lengths,
     difference_seq,
+    palindromic_christoffel,
     palindromic_conjugate,
     phi_n,
     varphi_n,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPalindromic, OddACount
+from .errors import InvariantError, NotPalindromic, OddACount
 
 FRIEZE_LETTERS = "pbqd"
 
@@ -169,12 +169,30 @@ LETTER_MATS = {
 }
 
 
+_LETTER_ENTRIES = {ch: (m.a, m.b, m.c, m.d) for ch, m in LETTER_MATS.items()}
+_AB_ENTRIES = {"A": (A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d),
+               "B": _LETTER_ENTRIES["p"], "BB": _LETTER_ENTRIES["b"]}
+
+
+def _product(factors: list[tuple[int, int, int, int]]) -> Psl2Mat:
+    """Product of integer 4-tuples (a, b, c, d), multiplied pairwise level
+    by level, so both operands of each product have about the same size
+    and the big products use CPython's subquadratic multiplication.  The
+    determinant check and the sign normalization run once, on the result."""
+    while len(factors) > 1:
+        pairs = iter(factors)
+        merged = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                  for (a, b, c, d), (e, f, g, h) in zip(pairs, pairs)]
+        if len(factors) % 2:
+            merged.append(factors[-1])
+        factors = merged
+    return Psl2Mat(*factors[0]) if factors else Psl2Mat.identity()
+
+
 def frieze_to_matrix(word: str) -> Psl2Mat:
-    """Product of the per-letter matrices; the empty word is the identity."""
-    mat = Psl2Mat.identity()
-    for ch in check_frieze(word):
-        mat = mat * LETTER_MATS[ch]
-    return mat
+    """Product of the per-letter matrices, as a balanced product tree; the
+    empty word is the identity."""
+    return _product([_LETTER_ENTRIES[ch] for ch in check_frieze(word)])
 
 
 def frieze_w(half: str) -> tuple[str, Psl2Mat]:
@@ -233,10 +251,7 @@ class AbWord:
         return cls(out)
 
     def to_matrix(self) -> Psl2Mat:
-        mat = Psl2Mat.identity()
-        for sym in self.symbols:
-            mat = mat * (A_MAT if sym == "A" else LETTER_MATS["p" if sym == "B" else "b"])
-        return mat
+        return _product([_AB_ENTRIES[sym] for sym in self.symbols])
 
     def __str__(self) -> str:
         return "".join(self.symbols)
@@ -278,7 +293,7 @@ def ab_to_frieze(word: AbWord | str) -> str:
             letters.append("b" if parity == 0 else "d")
     reduced = reduce_frieze("".join(letters))
     if frieze_to_matrix(reduced) != word.to_matrix():
-        raise AssertionError(f"translation of {word} lost group equality")
+        raise InvariantError(f"translation of {word} lost group equality")
     return reduced
 
 

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import CollisionType, InvalidLabel, NotPrimitive
 from .lissajous import is_collision_free, is_primitive, normalize, reduce_to_p0
-from .words import christoffel, palindromic_conjugate, varphi_n
+from .words import palindromic_christoffel, varphi_n
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,23 @@ def level_slope_of(m: int, n: int) -> LevelSlope:
     level = (2 * big_l - big_m) // (3 * big_l - 2 * big_m)
     p = (3 * level + 1) * big_l - (2 * level + 1) * big_m
     q = (2 * level - 1) * big_m - (3 * level - 2) * big_l
-    # redundant check via the alternate characterization of N on -n/m:
-    # (3N+2)/(3N+1) < |n|/|m| <= (3N-1)/(3N-2)
-    big_n = abs(n)
-    assert (3 * level + 2) * big_m < (3 * level + 1) * big_n
-    assert (3 * level - 2) * big_n <= (3 * level - 1) * big_m
     return LevelSlope(level, p, q)
 
 
 def type_of(label: LevelSlope) -> tuple[int, int]:
-    """Primitive type of a label; inverse of level_slope_of."""
+    """Primitive type of a label; inverse of level_slope_of.
+
+    Every valid label gives a primitive type: m and n have opposite signs,
+    |n| = |m| + p + q <= 2|m|, both are 1 mod 3 because 3 does not divide
+    |m| = p + q (mod 3), ell is odd because p + q is, and
+    gcd(|m|, |n|) = gcd(3q, p + q) = 1.
+    """
     level, p, q = label.level, label.p, label.q
     big_m = p * (3 * level - 2) + q * (3 * level + 1)
     big_l = p * (2 * level - 1) + q * (2 * level + 1)
     s = 1 if big_m % 3 == 1 else -1
     m = s * big_m
     n = m - 3 * s * big_l
-    assert is_primitive(m, n), f"label {label} produced non-primitive {(m, n)}"
     return m, n
 
 
@@ -100,7 +100,7 @@ _OTHER = {"b": "d", "d": "b", "p": "q", "q": "p"}
 def radii_of(label: LevelSlope) -> tuple[int, ...]:
     """Cluster radii in {N, N+1}: varphi_N of the palindromic conjugate of
     the Christoffel word of slope q/p."""
-    return varphi_n(label.level, palindromic_conjugate(christoffel(label.p, label.q)))
+    return varphi_n(label.level, palindromic_christoffel(label.p, label.q))
 
 
 def clusters_of(label: LevelSlope) -> ClusterSeq:

@@ -93,6 +93,8 @@ def cmd_plot(args) -> int:
     m, n = _parse_type(args.type)
     if not 0 < args.ratio < 1:
         raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
+    if args.steps < 2:
+        raise LissbraidError(f"--steps must be >= 2, got {args.steps}")
     nt = normalize(m, n)
     if args.kind == "shape":
         if not is_collision_free(m, n):

@@ -5,6 +5,10 @@ class LissbraidError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvariantError(LissbraidError):
+    """An exact identity the computation relies on failed: a defect, not bad input."""
+
+
 class DivisibleByThree(LissbraidError):
     """One of the frequencies is a multiple of 3; the motion degenerates."""
 

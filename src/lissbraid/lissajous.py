@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import AbWord, ab_to_frieze
-from .errors import CollisionType, DivisibleByThree, NotCoprime
+from .errors import CollisionType, DivisibleByThree, InvariantError, NotCoprime
 
 
 def _sgn(x: int) -> int:
@@ -137,7 +137,9 @@ def _window_shift(ell: int, m: int) -> tuple[int, int, int]:
     """Unique ell' in (+-ell + 2mZ) with m*ell' > 0 and |ell'| <= |m|.
 
     Returns (ell', s, j) with ell' = s*ell + 2*m*j.  Prefers s = +1 when
-    both sign classes reach the window (they then agree on ell').
+    both sign classes reach the window (they then agree on ell').  For odd
+    ell the residue r of ell mod 2|m| is nonzero, so r or 2|m| - r lies in
+    the window: the loop always returns.
     """
     a = abs(m)
     for s in (1, -1):
@@ -148,10 +150,9 @@ def _window_shift(ell: int, m: int) -> tuple[int, int, int]:
             new = r - 2 * a
         else:
             continue
-        j, rem = divmod(new - s * ell, 2 * m)
-        assert rem == 0
-        return new, s, j
-    raise AssertionError(f"no window representative for ell={ell}, m={m}")
+        # new = s*ell (mod 2|m|) by construction, so the division is exact
+        return new, s, (new - s * ell) // (2 * m)
+    raise InvariantError(f"no window representative for ell={ell}, m={m}")
 
 
 def reduce_to_p0_detail(nt: NormalizedType) -> tuple[tuple[int, int], bool]:

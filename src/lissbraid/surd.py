@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .algebra import Psl2Mat, trace_class
-from .errors import NotHyperbolic, TranslationForm
+from .errors import InvariantError, NotHyperbolic, TranslationForm
 
 _MAX_CF_STEPS = 100_000
 
@@ -42,12 +42,12 @@ def _split_square(d: int) -> tuple[int, int]:
     return c, d
 
 
-def _floor_surd(p: int, q: int, d: int) -> int:
-    """Exact floor((p + sqrt(d)) / q) for nonsquare d > 0."""
-    s = isqrt(d)  # sqrt(d) is irrational, so floor(p + sqrt(d)) = p + s
+def _floor_surd(p: int, q: int, root: int) -> int:
+    """Exact floor((p + sqrt(d)) / q) for nonsquare d > 0, given root = isqrt(d)."""
+    # sqrt(d) is irrational, so floor(p + sqrt(d)) = p + root
     if q > 0:
-        return (p + s) // q
-    return -((p + s) // (-q) + 1)
+        return (p + root) // q
+    return -((p + root) // (-q) + 1)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class QuadSurd:
         return QuadSurd(-self.P, -self.Q, self.D)
 
     def floor(self) -> int:
-        return _floor_surd(self.P, self.Q, self.D)
+        return _floor_surd(self.P, self.Q, isqrt(self.D))
 
     def _key(self) -> tuple[Fraction, Fraction, bool]:
         """Rational part, square and sign of the irrational part: sqrt(D) is
@@ -161,21 +161,35 @@ class CfExpansion:
 
 def cf_expand(x: QuadSurd) -> CfExpansion:
     """Regular continued fraction of a quadratic surd, split at the first
-    repeated exact (P, Q) state."""
+    repeated exact (P, Q) state.
+
+    The complete quotients are (P_k + sqrt(D)) / Q_k with Q_k | D - P_k^2.
+    With Q_{-1} = (D - P_0^2) / Q_0, the step is a_k = floor of the surd,
+    P_{k+1} = a_k Q_k - P_k and Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
+    which needs no division: the identity P^2 + Q Q_prev = D, once true,
+    holds for every integer a, because
+    D - (aQ - P)^2 = Q (Q_prev + 2aP - a^2 Q).  It is checked at entry
+    and again on the state that closes the cycle.
+    """
     p, q, d = x.P, x.Q, x.D
+    q_prev, rem = divmod(d - p * p, q)
+    if rem:
+        raise InvariantError(f"{x!r} violates Q | D - P^2")
+    root = isqrt(d)
     terms: list[int] = []
     seen: dict[tuple[int, int], int] = {}
     for _ in range(_MAX_CF_STEPS):
         state = (p, q)
         if state in seen:
+            if p * p + q * q_prev != d:
+                raise InvariantError(f"continued fraction state {state} left P^2 + Q Q_prev = D")
             start = seen[state]
             return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
         seen[state] = len(terms)
-        a = _floor_surd(p, q, d)
+        a = _floor_surd(p, q, root)
         terms.append(a)
-        p = a * q - p
-        assert (d - p * p) % q == 0
-        q = (d - p * p) // q
+        p_next = a * q - p
+        p, q, q_prev = p_next, q_prev + a * (p - p_next), q
     raise RuntimeError("continued fraction failed to cycle")
 
 

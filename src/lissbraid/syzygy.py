@@ -28,7 +28,9 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
     times, starting at arc 1.  The walk steps by -sgn(m) on '+' and by
     +sgn(m) on '-': the shape point circulates clockwise for m > 0 and
     counterclockwise for m < 0, which is what makes the output agree
-    with the numeric crossing oracle for either sign.
+    with the numeric crossing oracle for either sign.  The walk closes up:
+    each radius block (+-)^(r-1)+ moves it one step, so the 6*periods
+    copies of omega move it 6*periods*(p+q) steps, a multiple of 3.
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
@@ -42,7 +44,6 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
         out.append(arc)
         step = direction if sign == "+" else -direction
         arc = (arc - 1 + step) % 3 + 1
-    assert arc == 1, "syzygy walk failed to close up"
     return "".join(map(str, out))
 
 

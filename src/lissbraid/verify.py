@@ -12,6 +12,7 @@ from typing import Callable
 
 from .algebra import A_MAT, ab_to_frieze, cyclically_equal, frieze_w
 from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, radii_of, type_of
+from .errors import LissbraidError
 from .lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
 from .shapetrace import (
     COLLISION_EPS,
@@ -70,13 +71,19 @@ def suite_collision(max_freq: int = 10, **_) -> list[Case]:
 
 
 def suite_bijection(max_m: int = 200, max_sum: int = 100, max_level: int = 10, **_) -> list[Case]:
-    """Both round trips of the level/slope correspondence."""
+    """Both round trips of the level/slope correspondence.
+
+    Raises LissbraidError when a round trip would run over no type or no
+    label: a pass over an empty set checks nothing.
+    """
+    types, labels = enumerate_p0(max_m), enumerate_labels(max_sum, max_level)
+    if not types or not labels:
+        raise LissbraidError(f"the bounds select {len(types)} types and {len(labels)} labels; "
+                             "each round trip needs at least one")
     out: list[Case] = []
-    bad = [t for t in enumerate_p0(max_m) if type_of(level_slope_of(*t)) != t]
+    bad = [t for t in types if type_of(level_slope_of(*t)) != t]
     out.append((f"type->label->type |m|<={max_m}", not bad, f"{len(bad)} failures"))
-    bad_labels = [
-        ls for ls in enumerate_labels(max_sum, max_level) if level_slope_of(*type_of(ls)) != ls
-    ]
+    bad_labels = [ls for ls in labels if level_slope_of(*type_of(ls)) != ls]
     out.append((f"label->type->label p+q<={max_sum},N<={max_level}", not bad_labels,
                 f"{len(bad_labels)} failures"))
     return out

@@ -16,15 +16,21 @@ def _check_binary(word: str) -> str:
     return word
 
 
+def _mechanical(p: int, q: int, rho: int) -> str:
+    """Mechanical word of slope q/p and intercept rho, k = 1..p+q:
+    floor((qk + rho)/(p+q)) - floor((q(k-1) + rho)/(p+q))."""
+    if p <= 0 or q < 0 or gcd(p, q) != 1:
+        raise ValueError(f"need coprime p > 0, q >= 0, got {(p, q)}")
+    s = p + q
+    return "".join(str((q * k + rho) // s - (q * (k - 1) + rho) // s) for k in range(1, s + 1))
+
+
 def christoffel(p: int, q: int) -> str:
     """Lower Christoffel word of slope q/p: length p+q, q ones, p zeros.
 
     The k-th symbol is floor(qk/(p+q)) - floor(q(k-1)/(p+q)).
     """
-    if p <= 0 or q < 0 or gcd(p, q) != 1:
-        raise ValueError(f"need coprime p > 0, q >= 0, got {(p, q)}")
-    s = p + q
-    return "".join(str(q * k // s - q * (k - 1) // s) for k in range(1, s + 1))
+    return _mechanical(p, q, 0)
 
 
 def rotations(word: str):
@@ -45,6 +51,20 @@ def palindromic_conjugate(word: str) -> str:
     if len(found) > 1:
         raise MultiplePalindromes(f"{len(found)} palindromic rotations of {word!r}")
     return found.pop()
+
+
+def palindromic_christoffel(p: int, q: int) -> str:
+    """The palindromic conjugate of christoffel(p, q), in O(p + q).
+
+    Rotation i of the Christoffel word is the mechanical word with
+    intercept i*q mod (p+q); the palindrome is the one with intercept
+    (p+q-1)/2.  It exists only for odd p+q: an even palindrome has
+    evenly many ones, and coprime p, q with p+q even are both odd.
+    """
+    word = _mechanical(p, q, (p + q - 1) // 2)
+    if len(word) % 2 == 0:
+        raise NoPalindrome(f"christoffel({p}, {q}) has even length {len(word)}")
+    return word
 
 
 def phi_n(level: int, word: str) -> str:

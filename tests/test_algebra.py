@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lissbraid.algebra as algebra
 from lissbraid.algebra import (
     A_MAT,
     AbWord,
     CYCLE_123,
     CYCLE_132,
+    LETTER_MATS,
     PERM_ID,
     Psl2Mat,
     SWAP_13,
@@ -21,7 +25,7 @@ from lissbraid.algebra import (
     second_half,
     trace_class,
 )
-from lissbraid.errors import NotPalindromic, OddACount
+from lissbraid.errors import InvariantError, NotPalindromic, OddACount
 
 frieze_words = st.text(alphabet="pbqd", max_size=50)
 
@@ -74,6 +78,32 @@ def test_frieze_to_matrix_examples():
     assert frieze_to_matrix("dp") == Psl2Mat(2, 1, 1, 1)
 
 
+def _left_fold(mats):
+    """Reference: the per-letter product, one 2x2 multiplication at a time."""
+    out = Psl2Mat.identity()
+    for mat in mats:
+        out = out * mat
+    return out
+
+
+_AB_MATS = {"A": A_MAT, "B": LETTER_MATS["p"], "BB": LETTER_MATS["b"]}
+_RNG = random.Random(5)
+_RANDOM_FRIEZE = ["", "p", "b", "q", "d"] + [
+    "".join(_RNG.choice("pbqd") for _ in range(_RNG.randrange(2, 700))) for _ in range(40)]
+_RANDOM_AB = [(), ("A",), ("B",), ("BB",)] + [
+    tuple(_RNG.choice(("A", "B", "BB")) for _ in range(_RNG.randrange(2, 700))) for _ in range(40)]
+
+
+def test_frieze_to_matrix_equals_left_fold():
+    for word in _RANDOM_FRIEZE:
+        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+
+
+def test_ab_word_matrix_equals_left_fold():
+    for symbols in _RANDOM_AB:
+        assert AbWord(symbols).to_matrix() == _left_fold(_AB_MATS[sym] for sym in symbols), symbols
+
+
 def test_sign_normalization():
     m = Psl2Mat(-2, -1, -1, -1)
     assert (m.a, m.b, m.c, m.d) == (2, 1, 1, 1)
@@ -112,6 +142,13 @@ def test_ab_word_roundtrip_printing():
     w = AbWord(["A", "BB", "A", "B"])
     assert str(w) == "ABBAB"
     assert AbWord.from_string("ABBAB") == w
+
+
+def test_ab_translation_check_is_a_real_error(monkeypatch):
+    # a translation that loses group equality raises, also under python -O
+    monkeypatch.setattr(algebra, "reduce_frieze", lambda word: word + "p")
+    with pytest.raises(InvariantError):
+        ab_to_frieze("ABBAB")
 
 
 def test_odd_a_count_rejected():

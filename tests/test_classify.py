@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from lissbraid.algebra import frieze_w
 from lissbraid.classify import (
     LevelSlope,
     class_equal,
@@ -14,6 +15,7 @@ from lissbraid.classify import (
 )
 from lissbraid.errors import CollisionType, InvalidLabel, NotPrimitive
 from lissbraid.lissajous import build_H, normalize
+from lissbraid.surd import CfExpansion, cf_expand, far_endpoint
 
 
 @pytest.mark.parametrize("mn,label", [
@@ -127,6 +129,15 @@ def test_round_trip_small():
 def test_cluster_letters_equal_direct_word_small():
     for m, n in enumerate_p0(40):
         assert clusters_of(level_slope_of(m, n)).letters == build_H(normalize(m, n))
+
+
+@pytest.mark.parametrize("label", [LevelSlope(1, 1000, 1), LevelSlope(50, 100, 1)])
+def test_clusters_and_cf_at_large_m(label):
+    h = build_H(normalize(*type_of(label)))
+    assert clusters_of(label).letters == h
+    _, mat = frieze_w(h)
+    cf = cf_expand(far_endpoint(mat))
+    assert cf == CfExpansion((), tuple(2 * r - 1 for r in radii_of(label)))
 
 
 def test_h_length_identity():

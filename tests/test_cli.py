@@ -175,6 +175,15 @@ def test_verify_empty_selection_exits_1(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("bounds", [("--max-m", "0", "--max-sum", "0"), ("--max-m", "0"),
+                                    ("--max-sum", "0"), ("--max-level", "0")])
+def test_verify_bijection_over_empty_set_exits_1(capsys, bounds):
+    code, out, err = run(capsys, "verify", "--suite", "bijection", *bounds)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_plot_shape_svg(tmp_path, capsys):
     out_path = tmp_path / "s.svg"
     code, out, _ = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))
@@ -208,6 +217,16 @@ def test_plot_rejects_ratio_outside_unit_interval(tmp_path, capsys, ratio):
     assert code == 1
     assert out == "" and not out_path.exists()
     assert err.startswith("error:") and "--ratio" in err
+
+
+@pytest.mark.parametrize("steps", ["-3", "0", "1"])
+def test_plot_rejects_fewer_than_two_steps(tmp_path, capsys, steps):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--steps", steps,
+                         "--format", "csv", "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--steps" in err and len(err.splitlines()) == 1
 
 
 def test_plot_unwritable_out_exits_1(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from lissbraid.algebra import Psl2Mat
 from lissbraid.classify import clusters_of, enumerate_p0, level_slope_of
-from lissbraid.errors import NotHyperbolic
+from lissbraid.errors import InvariantError, NotHyperbolic
 from lissbraid.report import build_report
 from lissbraid.surd import (
     CfExpansion,
@@ -124,6 +125,45 @@ def test_cf_negative_q_and_negative_value():
     cf = cf_expand(y)
     assert cf.preperiod[0] == -1
     assert abs(cf_evaluate(cf, 60) - y.approx()) < 1e-9
+
+
+def _cf_by_division(x):
+    """Reference: the textbook loop, one exact division per step."""
+    p, q, d = x.P, x.Q, x.D
+    terms, seen = [], {}
+    while (p, q) not in seen:
+        seen[(p, q)] = len(terms)
+        s = math.isqrt(d)
+        a = (p + s) // q if q > 0 else -((p + s) // (-q) + 1)
+        terms.append(a)
+        p = a * q - p
+        q, rem = divmod(d - p * p, q)
+        assert rem == 0
+    start = seen[(p, q)]
+    return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
+
+
+def test_cf_expand_equals_division_loop():
+    rng = random.Random(7)
+    surds = [QuadSurd(-5, -3, 7), QuadSurd(-3, 2, 2), QuadSurd(1, 3, 2), QuadSurd(0, 1, 2),
+             QuadSurd(509, 338, 373325), far_endpoint(build_report(-500, 997).matrix)]
+    while len(surds) < 300:
+        # already normalized (Q | D - P^2), so D stays below 2.1e5
+        p, q = rng.randrange(-300, 301), rng.choice((-1, 1)) * rng.randrange(1, 300)
+        d = p * p + q * rng.randrange(-400, 401)
+        if d > 1 and math.isqrt(d) ** 2 != d:
+            surds.append(QuadSurd(p, q, d))
+    assert any(x.Q < 0 for x in surds)
+    assert sum(1 for x in surds if cf_expand(x).preperiod) > 100
+    for x in surds:
+        assert cf_expand(x) == _cf_by_division(x), x
+
+
+def test_cf_expand_rejects_unnormalized_state():
+    x = QuadSurd(3, 2, 13)
+    object.__setattr__(x, "Q", 3)  # 3 does not divide 13 - 9
+    with pytest.raises(InvariantError):
+        cf_expand(x)
 
 
 def test_cf_reevaluation_matches_approx():

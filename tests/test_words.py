@@ -10,6 +10,7 @@ from lissbraid.words import (
     christoffel,
     cluster_lengths,
     difference_seq,
+    palindromic_christoffel,
     palindromic_conjugate,
     phi_n,
     rotations,
@@ -77,6 +78,17 @@ def test_palindromic_conjugate_unique_for_odd_christoffel():
         pal = palindromic_conjugate(christoffel(p, q))
         assert pal == pal[::-1]
         assert sorted(pal) == sorted(christoffel(p, q))
+
+
+def test_palindromic_christoffel_equals_rotation_scan():
+    for p, q in _coprime_pairs(150):
+        if (p + q) % 2:
+            assert palindromic_christoffel(p, q) == palindromic_conjugate(christoffel(p, q))
+        else:
+            with pytest.raises(NoPalindrome):
+                palindromic_christoffel(p, q)
+    with pytest.raises(ValueError):
+        palindromic_christoffel(3, 6)
 
 
 def test_palindromic_conjugate_errors():
