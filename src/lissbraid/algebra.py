@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from .errors import InvariantError, NotPalindromic, OddACount
 
 FRIEZE_LETTERS = "pbqd"
+_FRIEZE_SET = frozenset(FRIEZE_LETTERS)
 
 # free-product factor and exponent (p = g, b = g^2 in the first factor, etc.)
 _FACTOR = {"p": 0, "b": 0, "q": 1, "d": 1}
 _EXPONENT = {"p": 1, "b": 2, "q": 1, "d": 2}
 _LETTER = {(0, 1): "p", (0, 2): "b", (1, 1): "q", (1, 2): "d"}
+_FACTOR_DIGIT = str.maketrans("pbqd", "0011")
 
 _A_CONJUGATE = str.maketrans("pbqd", "qdpb")   # conjugation by A
 _HALF_SWAP = str.maketrans("pbqd", "dqbp")     # p<->d, b<->q
@@ -35,7 +37,7 @@ def factor_of(letter: str) -> int:
 
 
 def check_frieze(word: str) -> str:
-    if any(ch not in _FACTOR for ch in word):
+    if not _FRIEZE_SET.issuperset(word):
         raise ValueError(f"not a word over 'pbqd': {word!r}")
     return word
 
@@ -45,9 +47,12 @@ def reduce_frieze(word: str) -> str:
 
     Stack-based left-to-right scan; adjacent letters of a common factor
     combine by exponent addition mod 3 (so pp -> b, pb -> empty, ...).
-    The result alternates factors.
+    The result alternates factors, and a word that already alternates is
+    returned as it is.
     """
-    check_frieze(word)
+    factors = check_frieze(word).translate(_FACTOR_DIGIT)
+    if "00" not in factors and "11" not in factors:
+        return word
     stack: list[tuple[int, int]] = []
     for ch in word:
         fac, exp = _FACTOR[ch], _EXPONENT[ch]
@@ -169,16 +174,39 @@ LETTER_MATS = {
 }
 
 
-_LETTER_ENTRIES = {ch: (m.a, m.b, m.c, m.d) for ch, m in LETTER_MATS.items()}
-_AB_ENTRIES = {"A": (A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d),
-               "B": _LETTER_ENTRIES["p"], "BB": _LETTER_ENTRIES["b"]}
+_ENTRIES = {ch: (m.a, m.b, m.c, m.d) for ch, m in LETTER_MATS.items()}
+_ENTRIES.update(A=(A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d), B=_ENTRIES["p"], BB=_ENTRIES["b"])
+_CHUNK = 4
 
 
-def _product(factors: list[tuple[int, int, int, int]]) -> Psl2Mat:
-    """Product of integer 4-tuples (a, b, c, d), multiplied pairwise level
-    by level, so both operands of each product have about the same size
-    and the big products use CPython's subquadratic multiplication.  The
-    determinant check and the sign normalization run once, on the result."""
+class _ChunkEntries(dict):
+    """Integer entries of the product over each word chunk, filled on first
+    use.  Only validated words are chunked, and a chunk has 1 to 4 letters,
+    so the keys are at most 4 + 16 + 64 + 256 = 340 pbqd strings and
+    3 + 9 + 27 + 81 = 120 tuples of A/B symbols: the memo is bounded by
+    construction.  Its values depend on the key alone, so every caller can
+    share it."""
+
+    def __missing__(self, chunk):
+        a, b, c, d = 1, 0, 0, 1
+        for e, f, g, h in map(_ENTRIES.__getitem__, chunk):
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        self[chunk] = entries = (a, b, c, d)
+        return entries
+
+
+_CHUNK_ENTRIES = _ChunkEntries()
+
+
+def _product(word) -> Psl2Mat:
+    """Product of the letter (or A/B symbol) matrices of a validated word.
+
+    The word is read in chunks of at most 4 letters through the chunk memo,
+    and the chunk products are multiplied pairwise level by level, so both
+    operands of each product have about the same size and the big products
+    use CPython's subquadratic multiplication.  The determinant check and
+    the sign normalization run once, on the result."""
+    factors = [_CHUNK_ENTRIES[word[i:i + _CHUNK]] for i in range(0, len(word), _CHUNK)]
     while len(factors) > 1:
         pairs = iter(factors)
         merged = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -192,7 +220,7 @@ def _product(factors: list[tuple[int, int, int, int]]) -> Psl2Mat:
 def frieze_to_matrix(word: str) -> Psl2Mat:
     """Product of the per-letter matrices, as a balanced product tree; the
     empty word is the identity."""
-    return _product([_LETTER_ENTRIES[ch] for ch in check_frieze(word)])
+    return _product(check_frieze(word))
 
 
 def frieze_w(half: str) -> tuple[str, Psl2Mat]:
@@ -216,6 +244,11 @@ def trace_class(mat: Psl2Mat) -> str:
     return "hyperbolic"
 
 
+_AB_SYMBOLS = frozenset(("A", "B", "BB"))
+_AB_LETTER = {"A": "A", "B": "p", "BB": "b"}
+_ODD_PARITY = str.maketrans("pb", "qd")
+
+
 class AbWord:
     """Word over the symbols A, B and B^-1 of the full group.
 
@@ -227,9 +260,9 @@ class AbWord:
 
     def __init__(self, symbols=()):
         symbols = tuple(symbols)
-        for sym in symbols:
-            if sym not in ("A", "B", "BB"):
-                raise ValueError(f"bad symbol {sym!r}")
+        if not _AB_SYMBOLS.issuperset(symbols):
+            bad = next(sym for sym in symbols if sym not in _AB_SYMBOLS)
+            raise ValueError(f"bad symbol {bad!r}")
         self.symbols = symbols
 
     @classmethod
@@ -251,7 +284,7 @@ class AbWord:
         return cls(out)
 
     def to_matrix(self) -> Psl2Mat:
-        return _product([_AB_ENTRIES[sym] for sym in self.symbols])
+        return _product(self.symbols)
 
     def __str__(self) -> str:
         return "".join(self.symbols)
@@ -275,23 +308,18 @@ class AbWord:
 def ab_to_frieze(word: AbWord | str) -> str:
     """Translate an A,B-word with evenly many A's into a reduced pbqd-word.
 
-    Left-to-right scan keeping the parity of A's seen so far: B at even
-    parity gives p, B^-1 gives b; at odd parity they give q and d.
+    B at even parity of the A's before it gives p, B^-1 gives b; at odd
+    parity they give q and d.  Splitting the word at its A's, with B and
+    B^-1 written p and b, puts the odd-parity pieces at the odd indices.
     """
     if isinstance(word, str):
         word = AbWord.from_string(word)
-    if sum(1 for sym in word if sym == "A") % 2:
+    pieces = "".join(map(_AB_LETTER.__getitem__, word.symbols)).split("A")
+    if len(pieces) % 2 == 0:
         raise OddACount(f"odd number of A's in {word}")
-    parity = 0
-    letters = []
-    for sym in word:
-        if sym == "A":
-            parity ^= 1
-        elif sym == "B":
-            letters.append("p" if parity == 0 else "q")
-        else:
-            letters.append("b" if parity == 0 else "d")
-    reduced = reduce_frieze("".join(letters))
+    if len(pieces) > 1:
+        pieces[1::2] = "A".join(pieces[1::2]).translate(_ODD_PARITY).split("A")
+    reduced = reduce_frieze("".join(pieces))
     if frieze_to_matrix(reduced) != word.to_matrix():
         raise InvariantError(f"translation of {word} lost group equality")
     return reduced

@@ -77,37 +77,47 @@ def _check_collision_free(nt: NormalizedType) -> None:
         raise CollisionType(f"type {(nt.m, nt.n)} has even ell = {nt.ell}")
 
 
+def _signs(nt: NormalizedType, count: int) -> tuple[int, ...]:
+    """The first count entries of the sign form of the epsilon sequence.
+
+    bits[k] = floor(x / (2|m|)) mod 2 with x = |ell|(2k - 1), which is 1
+    exactly when x mod 4|m| >= 2|m|; the x form an arithmetic progression,
+    so the whole sequence is a chain of C-level maps.
+    """
+    _check_collision_free(nt)
+    am, al = abs(nt.m), abs(nt.ell)
+    if gcd(am, al) != 1:
+        raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
+    s = _sgn(nt.m * nt.ell)
+    xs = range(al, al * (2 * count + 1), 2 * al)
+    return tuple(map((-s, s).__getitem__, map((2 * am).__le__, map((4 * am).__rmod__, xs))))
+
+
 def epsilon_seq(nt: NormalizedType) -> EpsSeq:
     """The 01-sequence bits[k] = floor(|ell|k/|m| - |ell|/(2|m|)) mod 2.
 
     Evaluated as floor((2|ell|k - |ell|) / (2|m|)) in exact integers;
     the argument is never an integer since |ell| is odd.
     """
-    _check_collision_free(nt)
-    am, al = abs(nt.m), abs(nt.ell)
-    if gcd(am, al) != 1:
-        raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
-    bits = tuple(((2 * al * k - al) // (2 * am)) % 2 for k in range(1, 2 * am + 1))
+    signs = _signs(nt, 2 * abs(nt.m))
     s = _sgn(nt.m * nt.ell)
-    signs = tuple(s * (2 * b - 1) for b in bits)
-    return EpsSeq(bits, signs, _sgn(nt.m))
+    return EpsSeq(tuple(int(e == s) for e in signs), signs, _sgn(nt.m))
+
+
+# (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, as space-separated symbols
+_AB_STEP = {(1, 1): "B", (1, -1): "B A", (-1, -1): "BB", (-1, 1): "BB A"}
 
 
 def _ab_from_signs(signs, sgn_m: int, last_exp_from_first: bool) -> AbWord:
     # A^{(1 - sgn(m) e_1)/2} B^{e_1} A^{(e_1-e_2)/2} ... B^{e_k} A^{end}
     # where the end exponent reuses e_1 for the half word H and uses the
     # final sign for the full word W.
-    symbols = []
-    if (1 - sgn_m * signs[0]) // 2:
-        symbols.append("A")
-    for i, e in enumerate(signs):
-        symbols.append("B" if e == 1 else "BB")
-        if i + 1 < len(signs) and (signs[i] - signs[i + 1]) // 2 != 0:
-            symbols.append("A")
     end_sign = signs[0] if last_exp_from_first else signs[-1]
-    if (1 - sgn_m * end_sign) // 2:
-        symbols.append("A")
-    return AbWord(symbols)
+    head = "A" if sgn_m * signs[0] == -1 else ""
+    steps = map(_AB_STEP.__getitem__, zip(signs, signs[1:]))
+    last = "B" if signs[-1] == 1 else "BB"
+    tail = "A" if sgn_m * end_sign == -1 else ""
+    return AbWord(" ".join((head, *steps, last, tail)).split())
 
 
 def build_W(nt: NormalizedType) -> AbWord:
@@ -118,9 +128,8 @@ def build_W(nt: NormalizedType) -> AbWord:
 
 def build_H(nt: NormalizedType) -> str:
     """First half of W, as a reduced pbqd-word of odd length."""
-    eps = epsilon_seq(nt)
-    half = eps.signs[: abs(nt.m)]
-    return ab_to_frieze(_ab_from_signs(half, eps.sgn_m, last_exp_from_first=True))
+    half = _signs(nt, abs(nt.m))
+    return ab_to_frieze(_ab_from_signs(half, _sgn(nt.m), last_exp_from_first=True))
 
 
 def is_primitive(m: int, n: int) -> bool:

@@ -35,10 +35,13 @@ class Report:
     syzygy_period: str
 
     @property
-    def dilatation_approx(self) -> float:
-        """Float of the dilatation, computed on read: it overflows for
-        dilatations of 2**1024 or more, which cf and syzygy never print."""
-        return self.dilatation_exact.approx()
+    def dilatation_approx(self) -> float | None:
+        """Float of the dilatation, computed on read, or None for
+        dilatations of 2**1024 or more, which no float holds."""
+        try:
+            return self.dilatation_exact.approx()
+        except OverflowError:
+            return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,6 +65,7 @@ class Report:
 
     def to_text(self) -> str:
         d = self.to_json_dict()
+        approx = d["dilatation"]["approx"]
         lines = [
             f"input:        ({d['input']['m']},{d['input']['n']})",
             f"normalized:   ({d['normalized']['m']},{d['normalized']['n']})  ell={d['normalized']['ell']}",
@@ -73,7 +77,7 @@ class Report:
             f"friezeW:      {self.frieze_w}",
             f"matrix:       {self.matrix}",
             f"trace:        {self.trace}  ({self.trace_class})",
-            f"dilatation:   {self.dilatation_exact} = {self.dilatation_approx!r}",
+            f"dilatation:   {self.dilatation_exact}" + ("" if approx is None else f" = {approx!r}"),
             f"far endpoint: {self.far_endpoint}",
             f"cf:           {self.cf}",
             f"omega:        {self.omega}",

@@ -14,7 +14,18 @@ from math import gcd, isqrt
 from .algebra import Psl2Mat, trace_class
 from .errors import InvariantError, NotHyperbolic, TranslationForm
 
-_MAX_CF_STEPS = 100_000
+# the 168 primes up to 1000
+_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+    97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+    191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281,
+    283, 293, 307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397,
+    401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499, 503,
+    509, 521, 523, 541, 547, 557, 563, 569, 571, 577, 587, 593, 599, 601, 607, 613, 617, 619,
+    631, 641, 643, 647, 653, 659, 661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743,
+    751, 757, 761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863,
+    877, 881, 883, 887, 907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
+)
 
 
 def _is_square(n: int) -> bool:
@@ -24,19 +35,22 @@ def _is_square(n: int) -> bool:
 def _split_square(d: int) -> tuple[int, int]:
     """d = c*c * rest with rest free of small square factors.
 
-    Peels squares of primes up to 1000 and a final perfect-square check;
-    used for display only.
+    Peels the squares of the 168 primes up to 1000 and ends with a
+    perfect-square check; used for display only.  This equals peeling f^2
+    for every f up to 1000: once the squares of all primes below f are
+    peeled, f^2 cannot divide the rest for composite f, whose smallest
+    prime factor g has g^2 | f^2.  A square above the rest cannot divide it.
     """
-    c = 1
     if _is_square(d):
         return isqrt(d), 1
-    f = 2
-    while f <= 1000:
+    c = 1
+    for f in _PRIMES:
         f2 = f * f
+        if f2 > d:
+            break
         while d % f2 == 0:
             d //= f2
             c *= f
-        f += 1 if f == 2 else 2
     if _is_square(d):
         c, d = c * isqrt(d), 1
     return c, d
@@ -160,8 +174,8 @@ class CfExpansion:
 
 
 def cf_expand(x: QuadSurd) -> CfExpansion:
-    """Regular continued fraction of a quadratic surd, split at the first
-    repeated exact (P, Q) state.
+    """Regular continued fraction of a quadratic surd, split where its
+    period starts.
 
     The complete quotients are (P_k + sqrt(D)) / Q_k with Q_k | D - P_k^2.
     With Q_{-1} = (D - P_0^2) / Q_0, the step is a_k = floor of the surd,
@@ -170,6 +184,15 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     holds for every integer a, because
     D - (aQ - P)^2 = Q (Q_prev + 2aP - a^2 Q).  It is checked at entry
     and again on the state that closes the cycle.
+
+    The period starts at the first reduced complete quotient: one that
+    is > 1 with its conjugate in (-1, 0).  By Galois' theorem a surd has
+    a purely periodic expansion exactly when it is reduced, so every
+    quotient of the cycle is reduced and none before it is; the expansion
+    closes when that quotient comes back, and only its state is kept.
+    With r = isqrt(D) and Q > 0 (which both conditions force), the value
+    is > 1 iff r >= Q - P, and the conjugate is < 0 iff P <= r and > -1
+    iff r < P + Q, since sqrt(D) is irrational.
     """
     p, q, d = x.P, x.Q, x.D
     q_prev, rem = divmod(d - p * p, q)
@@ -177,20 +200,21 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
         raise InvariantError(f"{x!r} violates Q | D - P^2")
     root = isqrt(d)
     terms: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    for _ in range(_MAX_CF_STEPS):
-        state = (p, q)
-        if state in seen:
-            if p * p + q * q_prev != d:
-                raise InvariantError(f"continued fraction state {state} left P^2 + Q Q_prev = D")
-            start = seen[state]
-            return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
-        seen[state] = len(terms)
+    start = -1  # index of the first reduced complete quotient, once seen
+    p0 = q0 = 0
+    while True:
+        if start < 0:
+            if 0 < q and p <= root < p + q and q - p <= root:
+                start, p0, q0 = len(terms), p, q
+        elif p == p0 and q == q0:
+            break
         a = _floor_surd(p, q, root)
         terms.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
-    raise RuntimeError("continued fraction failed to cycle")
+    if p * p + q * q_prev != d:
+        raise InvariantError(f"continued fraction state {(p, q)} left P^2 + Q Q_prev = D")
+    return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
 
 
 def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:

@@ -8,17 +8,25 @@ cyclic neighbours.
 
 from __future__ import annotations
 
-from .classify import LevelSlope, level_slope_of, radii_of
+from .classify import LevelSlope, level_slope_of
 from .errors import NotPrimitive
 from .lissajous import is_primitive
+from .words import palindromic_christoffel
+
+_ARCS = "123"
 
 
 def omega(label: LevelSlope) -> str:
     """Sign word over +- from the label: each radius r becomes (+-)^(r-1)+.
 
-    The length is p(2N-1) + q(2N+1), the letter length of H.
+    The radii are N and N+1 in place of the letters 0 and 1 of the
+    palindromic Christoffel word (see classify.radii_of), so omega is one
+    translate of that word.  The length is p(2N-1) + q(2N+1), the letter
+    length of H.
     """
-    return "".join("+-" * (r - 1) + "+" for r in radii_of(label))
+    level = label.level
+    blocks = {ord("0"): "+-" * (level - 1) + "+", ord("1"): "+-" * level + "+"}
+    return palindromic_christoffel(label.p, label.q).translate(blocks)
 
 
 def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
@@ -28,23 +36,36 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
     times, starting at arc 1.  The walk steps by -sgn(m) on '+' and by
     +sgn(m) on '-': the shape point circulates clockwise for m > 0 and
     counterclockwise for m < 0, which is what makes the output agree
-    with the numeric crossing oracle for either sign.  The walk closes up:
-    each radius block (+-)^(r-1)+ moves it one step, so the 6*periods
-    copies of omega move it 6*periods*(p+q) steps, a multiple of 3.
+    with the numeric crossing oracle for either sign.
+
+    A radius block (+-)^(r-1)+ that starts at arc a visits a and the arc
+    one step on alternately, 2r - 1 letters, and moves the walk one step.
+    So block i of omega starts i steps from arc 1, and the walk S0 over one
+    omega is written block by block from three tables, one per i mod 3.
+    One omega moves the walk p+q steps, which is not a multiple of 3
+    because gcd(p+q, 6) = 1: the walk over the next copy is S0 with every
+    arc shifted by those steps (S1), the one after that shifted twice (S2),
+    and after S0 S1 S2, 3(p+q) steps, the walk is back at arc 1.  The
+    6*periods copies of omega are therefore (S0 S1 S2)^(2*periods), and
+    the walk closes up.
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     if not is_primitive(m, n):
         raise NotPrimitive(f"{(m, n)} is not primitive")
-    drive = omega(level_slope_of(m, n)) * (6 * periods)
-    direction = -1 if m > 0 else 1
-    arc = 1
-    out = []
-    for sign in drive:
-        out.append(arc)
-        step = direction if sign == "+" else -direction
-        arc = (arc - 1 + step) % 3 + 1
-    return "".join(map(str, out))
+    label = level_slope_of(m, n)
+    step = -1 if m > 0 else 1
+    word = palindromic_christoffel(label.p, label.q)
+    blocks = [""] * len(word)
+    for i in range(3):
+        a, b = _ARCS[i * step % 3], _ARCS[(i + 1) * step % 3]
+        table = {"0": (a + b) * (label.level - 1) + a, "1": (a + b) * label.level + a}
+        blocks[i::3] = map(table.__getitem__, word[i::3])
+    s0 = "".join(blocks)
+    k = len(word) * step % 3
+    shift = str.maketrans(_ARCS, _ARCS[k:] + _ARCS[:k])
+    s1 = s0.translate(shift)
+    return (s0 + s1 + s1.translate(shift)) * (2 * periods)
 
 
 def is_reduced(seq: str) -> bool:

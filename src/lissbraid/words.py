@@ -17,12 +17,20 @@ def _check_binary(word: str) -> str:
 
 
 def _mechanical(p: int, q: int, rho: int) -> str:
-    """Mechanical word of slope q/p and intercept rho, k = 1..p+q:
-    floor((qk + rho)/(p+q)) - floor((q(k-1) + rho)/(p+q))."""
+    """Mechanical word of slope q/p and intercept 0 <= rho < p+q, k = 1..p+q:
+    floor((qk + rho)/(p+q)) - floor((q(k-1) + rho)/(p+q)).
+
+    Symbol k is 1 exactly when a multiple j(p+q) lies in
+    (q(k-1) + rho, qk + rho], that is at k = ceil((j(p+q) - rho)/q) for
+    j = 1..q, so only the q ones are written.
+    """
     if p <= 0 or q < 0 or gcd(p, q) != 1:
         raise ValueError(f"need coprime p > 0, q >= 0, got {(p, q)}")
     s = p + q
-    return "".join(str((q * k + rho) // s - (q * (k - 1) + rho) // s) for k in range(1, s + 1))
+    word = bytearray(b"0") * s
+    for x in range(s - rho, q * s - rho + 1, s):
+        word[-(-x // q) - 1] = 49  # ord("1")
+    return word.decode("ascii")
 
 
 def christoffel(p: int, q: int) -> str:

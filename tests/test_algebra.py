@@ -104,6 +104,19 @@ def test_ab_word_matrix_equals_left_fold():
         assert AbWord(symbols).to_matrix() == _left_fold(_AB_MATS[sym] for sym in symbols), symbols
 
 
+def test_chunk_memo_stays_bounded():
+    rng = random.Random(9)
+    for _ in range(500):
+        word = "".join(rng.choice("pbqd") for _ in range(rng.randrange(0, 301)))
+        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word)
+        symbols = [rng.choice(("A", "B", "BB")) for _ in range(rng.randrange(0, 301))]
+        assert AbWord(symbols).to_matrix() == _left_fold(_AB_MATS[sym] for sym in symbols)
+    keys = list(algebra._CHUNK_ENTRIES)
+    assert sum(isinstance(key, str) for key in keys) <= 4 + 16 + 64 + 256
+    assert sum(isinstance(key, tuple) for key in keys) <= 3 + 9 + 27 + 81
+    assert all(isinstance(key, (str, tuple)) and 1 <= len(key) <= 4 for key in keys)
+
+
 def test_sign_normalization():
     m = Psl2Mat(-2, -1, -1, -1)
     assert (m.a, m.b, m.c, m.d) == (2, 1, 1, 1)

@@ -135,6 +135,20 @@ def test_cf_and_syzygy_beyond_float_range(capsys):
     assert out.startswith("omega:")
 
 
+def test_classify_and_from_label_beyond_float_range(capsys):
+    # dilatations above 2**1024 have no float: JSON carries null, text the exact form only
+    exact = str(build_report(-740, 1477).dilatation_exact)
+    code, out, err = run(capsys, "classify", "--type", "-740,1477", "--json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["dilatation"] == {"exact": exact, "approx": None}
+    code, out, err = run(capsys, "classify", "--type", "-740,1477")
+    assert code == 0 and "Traceback" not in err
+    assert f"dilatation:   {exact}\n" in out
+    code, out, err = run(capsys, "from-label", "--level", "1", "--slope", "1/1000", "--json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["dilatation"]["approx"] is None
+
+
 def test_enumerate_types(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-m", "4")
     assert code == 0

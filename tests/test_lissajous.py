@@ -2,11 +2,12 @@ from math import gcd
 
 import pytest
 
-from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w
+from lissbraid.algebra import A_MAT, AbWord, ab_to_frieze, frieze_w, reduce_frieze
 from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
     NormalizedType,
+    _ab_from_signs,
     build_H,
     build_W,
     epsilon_seq,
@@ -195,3 +196,62 @@ def test_is_primitive_examples():
     assert is_primitive(1, -2)
     assert not is_primitive(1, 4)
     assert not is_primitive(-5, 4)
+
+
+# --- the per-letter kernels, kept as the reference ---------------------------
+
+def _signs_by_loop(nt):
+    """Reference: epsilon_seq's per-index bits and signs over 2|m|."""
+    am, al = abs(nt.m), abs(nt.ell)
+    bits = tuple(((2 * al * k - al) // (2 * am)) % 2 for k in range(1, 2 * am + 1))
+    s = 1 if nt.m * nt.ell > 0 else -1
+    return bits, tuple(s * (2 * b - 1) for b in bits)
+
+
+def _ab_by_loop(signs, sgn_m, last_exp_from_first):
+    """Reference: _ab_from_signs, one sign at a time."""
+    symbols = []
+    if (1 - sgn_m * signs[0]) // 2:
+        symbols.append("A")
+    for i, e in enumerate(signs):
+        symbols.append("B" if e == 1 else "BB")
+        if i + 1 < len(signs) and (signs[i] - signs[i + 1]) // 2 != 0:
+            symbols.append("A")
+    end_sign = signs[0] if last_exp_from_first else signs[-1]
+    if (1 - sgn_m * end_sign) // 2:
+        symbols.append("A")
+    return AbWord(symbols)
+
+
+def _frieze_by_parity_scan(word):
+    """Reference: ab_to_frieze, keeping the parity of A's one symbol at a time."""
+    parity, letters = 0, []
+    for sym in word:
+        if sym == "A":
+            parity ^= 1
+        elif sym == "B":
+            letters.append("p" if parity == 0 else "q")
+        else:
+            letters.append("b" if parity == 0 else "d")
+    assert parity == 0
+    return reduce_frieze("".join(letters))
+
+
+def test_word_kernels_equal_per_letter_loops():
+    types = [NormalizedType(m, n, (m - n) // 3)
+             for m in range(-40, 41) for n in range(-90, 91)
+             if m % 3 == 1 and n % 3 == 1 and gcd(m, n) == 1 and ((m - n) // 3) % 2]
+    assert len(types) > 500 and sum(not is_primitive(t.m, t.n) for t in types) > 400
+    for nt in types:
+        bits, signs = _signs_by_loop(nt)
+        eps = epsilon_seq(nt)
+        assert (eps.bits, eps.signs) == (bits, signs), nt
+        sgn_m = 1 if nt.m > 0 else -1
+        half = signs[:abs(nt.m)]
+        h_word = _ab_from_signs(half, sgn_m, last_exp_from_first=True)
+        w_word = _ab_from_signs(signs, sgn_m, last_exp_from_first=False)
+        assert h_word == _ab_by_loop(half, sgn_m, True), nt
+        assert w_word == _ab_by_loop(signs, sgn_m, False), nt
+        h = _frieze_by_parity_scan(h_word)
+        assert ab_to_frieze(h_word) == h and build_H(nt) == h, nt
+        assert ab_to_frieze(w_word) == _frieze_by_parity_scan(w_word), nt

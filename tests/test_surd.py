@@ -7,6 +7,7 @@ import pytest
 from lissbraid.algebra import Psl2Mat
 from lissbraid.classify import clusters_of, enumerate_p0, level_slope_of
 from lissbraid.errors import InvariantError, NotHyperbolic
+import lissbraid.surd as surd
 from lissbraid.report import build_report
 from lissbraid.surd import (
     CfExpansion,
@@ -157,6 +158,55 @@ def test_cf_expand_equals_division_loop():
     assert sum(1 for x in surds if cf_expand(x).preperiod) > 100
     for x in surds:
         assert cf_expand(x) == _cf_by_division(x), x
+
+
+def test_cf_expand_equals_division_loop_on_wide_surds():
+    # surds in any form (QuadSurd rescales those with Q not dividing D - P^2)
+    rng = random.Random(13)
+    surds = []
+    while len(surds) < 1500:
+        p, q = rng.randrange(-10**4, 10**4), rng.choice((-1, 1)) * rng.randrange(1, 100)
+        d = rng.randrange(2, 10**4)
+        if math.isqrt(d) ** 2 != d:
+            surds.append(QuadSurd(p, q, d))
+    assert sum(1 for x in surds if cf_expand(x).preperiod) > 1400
+    for x in surds:
+        assert cf_expand(x) == _cf_by_division(x), x
+
+
+@pytest.mark.parametrize("surd,pre,period", [
+    (QuadSurd(86978, -76729, 55622233222), 3, 126476),
+    (QuadSurd(2361883652, -41847961, 1776320400567), 4, 275938),
+])
+def test_cf_expand_long_periods(surd, pre, period):
+    # periods beyond the former 100 000-step cap of the state dictionary
+    cf = cf_expand(surd)
+    assert (len(cf.preperiod), len(cf.period)) == (pre, period)
+    assert abs(cf_evaluate(cf, 60) - surd.approx()) < 1e-9
+
+
+def _split_square_by_every_f(d):
+    """Reference: peel f^2 for every f up to 1000, then a perfect-square check."""
+    if math.isqrt(d) ** 2 == d:
+        return math.isqrt(d), 1
+    c = 1
+    for f in range(2, 1001):
+        while d % (f * f) == 0:
+            d //= f * f
+            c *= f
+    if math.isqrt(d) ** 2 == d:
+        c, d = c * math.isqrt(d), 1
+    return c, d
+
+
+def test_split_square_equals_trial_division_by_every_f():
+    assert surd._PRIMES == tuple(f for f in range(2, 1001) if all(f % g for g in range(2, f)))
+    rng = random.Random(17)
+    crafted = [k * f2 for k in (1, 2, 3, 5, 7, 1009, 2 * 1009**2, 10**12 + 39)
+               for f2 in (4, 9, 49, 997**2, 30**2, 4 * 9 * 49 * 997**2, 30**4)]
+    randoms = [rng.randrange(2, 10**e) for e in (4, 30) for _ in range(300)]
+    for d in crafted + randoms:
+        assert surd._split_square(d) == _split_square_by_every_f(d), d
 
 
 def test_cf_expand_rejects_unnormalized_state():

@@ -1,6 +1,6 @@
 import pytest
 
-from lissbraid.classify import LevelSlope, enumerate_p0, level_slope_of
+from lissbraid.classify import LevelSlope, enumerate_p0, level_slope_of, radii_of
 from lissbraid.errors import NotPrimitive
 from lissbraid.syzygy import is_reduced, omega, syzygy_sequence
 
@@ -65,3 +65,27 @@ def test_syzygy_reduced_and_length():
 ])
 def test_is_reduced(seq, expected):
     assert is_reduced(seq) is expected
+
+
+def _walk_by_letter(m, n, periods):
+    """Reference: the per-letter walk over omega, built radius by radius."""
+    drive = "".join("+-" * (r - 1) + "+" for r in radii_of(level_slope_of(m, n))) * (6 * periods)
+    direction = -1 if m > 0 else 1
+    arc, out = 1, []
+    for sign in drive:
+        out.append(arc)
+        step = direction if sign == "+" else -direction
+        arc = (arc - 1 + step) % 3 + 1
+    return "".join(map(str, out))
+
+
+def test_syzygy_equals_per_letter_walk():
+    types = enumerate_p0(200)
+    assert len(types) == 2042
+    for m, n in types:
+        label = level_slope_of(m, n)
+        assert omega(label) == "".join("+-" * (r - 1) + "+" for r in radii_of(label))
+        # the walk from arc 1 over more copies of omega extends the walk over fewer
+        walk = _walk_by_letter(m, n, 3)
+        for periods in (1, 2, 3):
+            assert syzygy_sequence(m, n, periods) == walk[:len(walk) * periods // 3], (m, n)

@@ -7,6 +7,7 @@ from lissbraid.classify import enumerate_p0, level_slope_of
 from lissbraid.errors import AllOnes, MultiplePalindromes, NoPalindrome
 from lissbraid.lissajous import epsilon_seq, normalize
 from lissbraid.words import (
+    _mechanical,
     christoffel,
     cluster_lengths,
     difference_seq,
@@ -49,6 +50,20 @@ def test_christoffel_length_and_counts():
         w = christoffel(p, q)
         assert len(w) == p + q
         assert w.count("1") == q and w.count("0") == p
+
+
+def _mechanical_by_symbol(p, q, rho):
+    """Reference: the mechanical word one floor difference at a time."""
+    s = p + q
+    return "".join(str((q * k + rho) // s - (q * (k - 1) + rho) // s) for k in range(1, s + 1))
+
+
+def test_mechanical_equals_floor_differences():
+    rng = random.Random(11)
+    for p, q in _coprime_pairs(150):
+        s = p + q
+        for rho in (0, (s - 1) // 2, rng.randrange(s)):
+            assert _mechanical(p, q, rho) == _mechanical_by_symbol(p, q, rho), (p, q, rho)
 
 
 def test_christoffel_balanced():
