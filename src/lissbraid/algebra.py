@@ -137,11 +137,6 @@ class Psl2Mat:
     def identity(cls) -> "Psl2Mat":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Psl2Mat":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
     def __mul__(self, other: "Psl2Mat") -> "Psl2Mat":
         return Psl2Mat(
             self.a * other.a + self.b * other.c,
@@ -342,12 +337,6 @@ class Perm3:
         """Composition self after other."""
         return Perm3(tuple(self(other(i)) for i in (1, 2, 3)))
 
-    def inverse(self) -> "Perm3":
-        img = [0, 0, 0]
-        for i in (1, 2, 3):
-            img[self(i) - 1] = i
-        return Perm3(tuple(img))
-
     def __str__(self) -> str:
         names = {(1, 2, 3): "id", (2, 3, 1): "(123)", (3, 1, 2): "(132)",
                  (2, 1, 3): "(12)", (1, 3, 2): "(23)", (3, 2, 1): "(13)"}
@@ -359,12 +348,14 @@ CYCLE_123 = Perm3((2, 3, 1))
 CYCLE_132 = Perm3((3, 1, 2))
 SWAP_13 = Perm3((3, 2, 1))
 
-_S3_IMAGE = {"p": CYCLE_123, "d": CYCLE_123, "b": CYCLE_132, "q": CYCLE_132}
+_CYCLE_POWERS = (PERM_ID, CYCLE_123, CYCLE_132)
 
 
 def s3_image(word: str) -> Perm3:
-    """Image of a pbqd-word in S3, fixed by p,d -> (123) and b,q -> (132)."""
-    perm = PERM_ID
-    for ch in check_frieze(word):
-        perm = perm * _S3_IMAGE[ch]
-    return perm
+    """Image of a pbqd-word in S3, fixed by p,d -> (123) and b,q -> (132).
+
+    (132) = (123)^2, so every letter maps to a power of (123) and the image
+    is (123)^k with k = #p + #d + 2(#b + #q) mod 3.
+    """
+    count = check_frieze(word).count
+    return _CYCLE_POWERS[(count("p") + count("d") + 2 * (count("b") + count("q"))) % 3]

@@ -59,7 +59,6 @@ class ClusterSeq:
     """
 
     radii: tuple[int, ...]
-    leading: str
     letters: str
 
 
@@ -104,7 +103,7 @@ def radii_of(label: LevelSlope) -> tuple[int, ...]:
 
 
 def clusters_of(label: LevelSlope) -> ClusterSeq:
-    """Cluster form of H for a label: radii, leading letter, and the word."""
+    """Cluster form of H for a label: radii and the word."""
     radii = radii_of(label)
     # |m| = p(3N-2) + q(3N+1) = p + q (mod 3), and m > 0 iff |m| = 1 (mod 3)
     lead = "d" if (label.p + label.q) % 3 == 1 else "b"
@@ -113,7 +112,7 @@ def clusters_of(label: LevelSlope) -> ClusterSeq:
         other = _OTHER[lead]
         parts.append((lead + other) * (r - 1) + lead)
         lead = _PARTNER[lead]
-    return ClusterSeq(radii=radii, leading=parts[0][0], letters="".join(parts))
+    return ClusterSeq(radii=radii, letters="".join(parts))
 
 
 def class_equal(t1: tuple[int, int], t2: tuple[int, int]) -> bool:

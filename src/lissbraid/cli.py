@@ -14,10 +14,10 @@ import sys
 
 from .classify import LevelSlope, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import CollisionType, LissbraidError
-from .lissajous import is_collision_free, normalize
+from .lissajous import is_collision_free, normalize, reduce_to_p0
 from .report import Report, build_report, collision_report_dict
 from .shapetrace import csv_shape, svg_halfplane, svg_shape
-from .syzygy import syzygy_sequence
+from .syzygy import omega, syzygy_sequence
 from .verify import SUITES
 
 
@@ -76,15 +76,16 @@ def cmd_syzygy(args) -> int:
     m, n = _parse_type(args.type)
     if args.periods < 1:
         raise LissbraidError(f"--periods must be >= 1, got {args.periods}")
-    report = build_report(m, n)
-    seq = syzygy_sequence(*report.p0, periods=args.periods)
+    p0 = reduce_to_p0(normalize(m, n))
+    om = omega(level_slope_of(*p0))
+    seq = syzygy_sequence(*p0, periods=args.periods)
     if args.group:
-        block = len(report.omega)
+        block = len(om)
         seq = ".".join(seq[i:i + block] for i in range(0, len(seq), block))
     if args.json:
-        print(json.dumps({"omega": report.omega, "syzygy": seq, "periods": args.periods}))
+        print(json.dumps({"omega": om, "syzygy": seq, "periods": args.periods}))
     else:
-        print(f"omega:  {report.omega}")
+        print(f"omega:  {om}")
         print(f"syzygy: {seq}")
     return 0
 

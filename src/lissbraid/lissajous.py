@@ -5,8 +5,9 @@ sin(2*pi*m*t) + i*sin(2*pi*n*t).  Types with 3 | mn degenerate; the
 rest normalize (by harmless sign flips) to m = n = 1 mod 3, and the
 motion of the three points L(t-1/3), L(t), L(t+1/3) is collision-free
 exactly when ell = (m-n)/3 is odd.  For collision-free types the braid
-word W of a third of a period, and its first half H, are built from a
-doubly palindromic 01-sequence of length 2|m|.
+word W of a third of a period is an A/B word built from a doubly
+palindromic 01-sequence of length 2|m|; its first half H is written as
+a pbqd-word straight from the first |m| signs of that sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import AbWord, ab_to_frieze
+from .algebra import AbWord, reduce_frieze
 from .errors import CollisionType, DivisibleByThree, InvariantError, NotCoprime
 
 
@@ -108,28 +109,42 @@ def epsilon_seq(nt: NormalizedType) -> EpsSeq:
 _AB_STEP = {(1, 1): "B", (1, -1): "B A", (-1, -1): "BB", (-1, 1): "BB A"}
 
 
-def _ab_from_signs(signs, sgn_m: int, last_exp_from_first: bool) -> AbWord:
-    # A^{(1 - sgn(m) e_1)/2} B^{e_1} A^{(e_1-e_2)/2} ... B^{e_k} A^{end}
-    # where the end exponent reuses e_1 for the half word H and uses the
-    # final sign for the full word W.
-    end_sign = signs[0] if last_exp_from_first else signs[-1]
+def build_W(nt: NormalizedType) -> AbWord:
+    """The braid word of one third of the motion's period, in A and B:
+
+        A^{(1 - sgn(m) e_1)/2} B^{e_1} A^{(e_1-e_2)/2} ... B^{e_k} A^{(1 - sgn(m) e_k)/2}
+
+    over the k = 2|m| signs e_i of the epsilon sequence.
+    """
+    eps = epsilon_seq(nt)
+    signs, sgn_m = eps.signs, eps.sgn_m
     head = "A" if sgn_m * signs[0] == -1 else ""
     steps = map(_AB_STEP.__getitem__, zip(signs, signs[1:]))
     last = "B" if signs[-1] == 1 else "BB"
-    tail = "A" if sgn_m * end_sign == -1 else ""
+    tail = "A" if sgn_m * signs[-1] == -1 else ""
     return AbWord(" ".join((head, *steps, last, tail)).split())
 
 
-def build_W(nt: NormalizedType) -> AbWord:
-    """The braid word of one third of the motion's period, in A and B."""
-    eps = epsilon_seq(nt)
-    return _ab_from_signs(eps.signs, eps.sgn_m, last_exp_from_first=False)
+# sign e_i -> letter of B^{e_i}, keyed by sgn(m)
+_H_LETTER = {1: {1: "p", -1: "d"}, -1: {1: "q", -1: "b"}}
 
 
 def build_H(nt: NormalizedType) -> str:
-    """First half of W, as a reduced pbqd-word of odd length."""
-    half = _signs(nt, abs(nt.m))
-    return ab_to_frieze(_ab_from_signs(half, _sgn(nt.m), last_exp_from_first=True))
+    """First half of W, as a reduced pbqd-word of odd length.
+
+    As an A/B word, H is W's formula over the first |m| signs with the
+    tail exponent (1 - sgn(m) e_1)/2, and B at an even (odd) count of
+    A's before it is p (q), B^-1 is b (d).  That count needs no A/B word:
+    the A's before B^{e_i} are the head A and one A per sign change, so
+    their parity is [sgn(m) e_1 = -1] + [e_i != e_1] mod 2, which is
+    [sgn(m) e_i = -1] for either e_1.  So each letter is fixed by its own
+    sign and sgn(m): p for +1 and d for -1 when m > 0, q for +1 and b for
+    -1 when m < 0.  The half of the epsilon sequence is a palindrome, so
+    e_{|m|} = e_1, the sign changes are even in number and the tail A
+    matches the head A: the A count is even, as the translation needs.
+    """
+    table = _H_LETTER[_sgn(nt.m)]
+    return reduce_frieze("".join(map(table.__getitem__, _signs(nt, abs(nt.m)))))
 
 
 def is_primitive(m: int, n: int) -> bool:

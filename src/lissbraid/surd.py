@@ -133,30 +133,6 @@ class QuadSurd:
         return f"QuadSurd(P={self.P}, Q={self.Q}, D={self.D})"
 
 
-def _abs_cmp(x: QuadSurd, y: QuadSurd) -> int:
-    """Sign of |x| - |y| for surds over the same sqrt(D), exactly.
-
-    Compares x^2 with y^2: both are (P^2+D + 2P sqrt(D))/Q^2, and the sign
-    of u + v*sqrt(D) is decided by integer arithmetic.
-    """
-    if x.D != y.D:
-        raise ValueError("comparison requires a common D")
-    d = x.D
-    u = (x.P * x.P + d) * y.Q * y.Q - (y.P * y.P + d) * x.Q * x.Q
-    v = 2 * (x.P * y.Q * y.Q - y.P * x.Q * x.Q)
-    # sign of u + v*sqrt(d)
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return (v > 0) - (v < 0)
-    if (u > 0) == (v > 0):
-        return 1 if u > 0 else -1
-    lhs, rhs = u * u, v * v * d
-    if u > 0:  # u > 0 > v: sign is that of u^2 - v^2 d
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
 @dataclass(frozen=True)
 class CfExpansion:
     """Eventually periodic continued fraction: preperiod then minimal cycle."""
@@ -268,9 +244,14 @@ def fixed_points(mat: Psl2Mat) -> tuple[QuadSurd, QuadSurd]:
 
 
 def far_endpoint(mat: Psl2Mat) -> QuadSurd:
-    """The fixed point of larger absolute value (+sqrt branch on ties)."""
+    """The fixed point of larger absolute value (+sqrt branch on ties).
+
+    The fixed points are (u +- sqrt(D)) / 2c' with u = (a - d)/g and g > 0
+    the content, and |u + sqrt(D)| > |u - sqrt(D)| exactly when u > 0.  So
+    the -sqrt branch is farther exactly when d > a, and u = 0 is a tie.
+    """
     plus, minus = fixed_points(mat)
-    return minus if _abs_cmp(plus, minus) < 0 else plus
+    return minus if mat.d > mat.a else plus
 
 
 def dilatation(mat: Psl2Mat) -> QuadSurd:

@@ -7,7 +7,6 @@ from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
     NormalizedType,
-    _ab_from_signs,
     build_H,
     build_W,
     epsilon_seq,
@@ -209,7 +208,8 @@ def _signs_by_loop(nt):
 
 
 def _ab_by_loop(signs, sgn_m, last_exp_from_first):
-    """Reference: _ab_from_signs, one sign at a time."""
+    """Reference: the A/B word over the signs, one sign at a time; the tail
+    exponent reads the first sign for H and the last sign for W."""
     symbols = []
     if (1 - sgn_m * signs[0]) // 2:
         symbols.append("A")
@@ -247,10 +247,8 @@ def test_word_kernels_equal_per_letter_loops():
         eps = epsilon_seq(nt)
         assert (eps.bits, eps.signs) == (bits, signs), nt
         sgn_m = 1 if nt.m > 0 else -1
-        half = signs[:abs(nt.m)]
-        h_word = _ab_from_signs(half, sgn_m, last_exp_from_first=True)
-        w_word = _ab_from_signs(signs, sgn_m, last_exp_from_first=False)
-        assert h_word == _ab_by_loop(half, sgn_m, True), nt
+        h_word = _ab_by_loop(signs[:abs(nt.m)], sgn_m, True)
+        w_word = build_W(nt)
         assert w_word == _ab_by_loop(signs, sgn_m, False), nt
         h = _frieze_by_parity_scan(h_word)
         assert ab_to_frieze(h_word) == h and build_H(nt) == h, nt

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lissbraid.algebra import Psl2Mat
+from lissbraid.algebra import Psl2Mat, frieze_w
 from lissbraid.classify import clusters_of, enumerate_p0, level_slope_of
 from lissbraid.errors import InvariantError, NotHyperbolic
+from lissbraid.lissajous import build_H, normalize
 import lissbraid.surd as surd
 from lissbraid.report import build_report
 from lissbraid.surd import (
@@ -91,6 +92,54 @@ def test_fixed_points_require_hyperbolic():
 ])
 def test_far_endpoint_examples(mat, expected):
     assert far_endpoint(mat) == expected
+
+
+def _abs_cmp(x, y):
+    """Reference: sign of |x| - |y| for surds over the same sqrt(D), from
+    x^2 - y^2 = u + v sqrt(D) in integers."""
+    assert x.D == y.D
+    d = x.D
+    u = (x.P * x.P + d) * y.Q * y.Q - (y.P * y.P + d) * x.Q * x.Q
+    v = 2 * (x.P * y.Q * y.Q - y.P * x.Q * x.Q)
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if (u > 0) == (v > 0):
+        return 1 if u > 0 else -1
+    lhs, rhs = u * u, v * v * d
+    if u > 0:  # u > 0 > v: sign is that of u^2 - v^2 d
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def _random_hyperbolic(rng):
+    """Hyperbolic matrices with c != 0: products of T^+-1 and U^+-1, and
+    ties a = d with bc = a^2 - 1 split over a divisor of a - 1 and of a + 1."""
+    gens = [Psl2Mat(1, 1, 0, 1), Psl2Mat(1, -1, 0, 1), Psl2Mat(1, 0, 1, 1), Psl2Mat(1, 0, -1, 1)]
+    mats = []
+    while len(mats) < 900:
+        mat = Psl2Mat.identity()
+        for _ in range(rng.randrange(1, 40)):
+            mat = mat * rng.choice(gens)
+        if mat.c != 0 and abs(mat.trace()) > 2:
+            mats.append(mat)
+    for _ in range(300):
+        a = rng.choice((1, -1)) * rng.randrange(2, 10**rng.randrange(2, 12))
+        c = rng.choice((1, -1)) * math.gcd(a - 1, rng.randrange(1, 10**6)) \
+            * math.gcd(a + 1, rng.randrange(1, 10**6))
+        mats.append(Psl2Mat(a, (a * a - 1) // c, c, a))
+    return mats
+
+
+def test_far_endpoint_equals_abs_comparison():
+    sweep = [frieze_w(build_H(normalize(m, n)))[1] for m, n in enumerate_p0(200)]
+    randoms = _random_hyperbolic(random.Random(23))
+    signs = [(m.d > m.a) - (m.d < m.a) for m in randoms]
+    assert len(sweep) == 2042 and min(signs.count(s) for s in (-1, 0, 1)) >= 100
+    for mat in sweep + randoms:
+        plus, minus = fixed_points(mat)
+        assert far_endpoint(mat) == (minus if _abs_cmp(plus, minus) < 0 else plus), mat
 
 
 def test_cf_expand_examples():
