@@ -2,11 +2,11 @@
 
 from .algebra import (
     A_MAT,
-    AbWord,
     Perm3,
     Psl2Mat,
     a_conjugate,
     ab_to_frieze,
+    ab_to_matrix,
     cyclically_equal,
     frieze_to_matrix,
     frieze_w,
@@ -57,6 +57,7 @@ from .words import (
     palindromic_christoffel,
     palindromic_conjugate,
     phi_n,
+    radius_blocks,
     varphi_n,
 )
 

@@ -7,7 +7,8 @@ free product Z/3 * Z/3 with free factors {1, p, b} and {1, q, d}, where
     p = B,  b = B^2,  q = ABA,  d = AB^2A.
 
 Elements of the subgroup are handled as reduced words over the four
-letters "pbqd" (plain strings), elements of the full group as 2x2
+letters "pbqd", words of the full group as words over "AB" with B^-1
+written BB (both plain strings), and elements of the full group as 2x2
 integer matrices of determinant 1 up to sign.
 """
 
@@ -170,7 +171,7 @@ LETTER_MATS = {
 
 
 _ENTRIES = {ch: (m.a, m.b, m.c, m.d) for ch, m in LETTER_MATS.items()}
-_ENTRIES.update(A=(A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d), B=_ENTRIES["p"], BB=_ENTRIES["b"])
+_ENTRIES.update(A=(A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d), B=_ENTRIES["p"])
 _CHUNK = 4
 
 
@@ -178,9 +179,8 @@ class _ChunkEntries(dict):
     """Integer entries of the product over each word chunk, filled on first
     use.  Only validated words are chunked, and a chunk has 1 to 4 letters,
     so the keys are at most 4 + 16 + 64 + 256 = 340 pbqd strings and
-    3 + 9 + 27 + 81 = 120 tuples of A/B symbols: the memo is bounded by
-    construction.  Its values depend on the key alone, so every caller can
-    share it."""
+    2 + 4 + 8 + 16 = 30 A/B strings: the memo is bounded by construction.
+    Its values depend on the key alone, so every caller can share it."""
 
     def __missing__(self, chunk):
         a, b, c, d = 1, 0, 0, 1
@@ -193,8 +193,8 @@ class _ChunkEntries(dict):
 _CHUNK_ENTRIES = _ChunkEntries()
 
 
-def _product(word) -> Psl2Mat:
-    """Product of the letter (or A/B symbol) matrices of a validated word.
+def _product(word: str) -> Psl2Mat:
+    """Product of the letter matrices of a validated pbqd or A/B word.
 
     The word is read in chunks of at most 4 letters through the chunk memo,
     and the chunk products are multiplied pairwise level by level, so both
@@ -239,83 +239,37 @@ def trace_class(mat: Psl2Mat) -> str:
     return "hyperbolic"
 
 
-_AB_SYMBOLS = frozenset(("A", "B", "BB"))
-_AB_LETTER = {"A": "A", "B": "p", "BB": "b"}
+_AB_SET = frozenset("AB")
+_B_LETTER = str.maketrans("B", "p")
 _ODD_PARITY = str.maketrans("pb", "qd")
 
 
-class AbWord:
-    """Word over the symbols A, B and B^-1 of the full group.
+def check_ab(word: str) -> str:
+    if not _AB_SET.issuperset(word):
+        raise ValueError(f"not a word over 'AB': {word!r}")
+    return word
 
-    B^-1 is stored as its own symbol "BB" (it equals B^2, which is how
-    it prints).  No group relations are applied at the word level.
+
+def ab_to_matrix(word: str) -> Psl2Mat:
+    """Product of the A and B matrices of an A/B word, as a balanced
+    product tree; no group relations are applied at the word level."""
+    return _product(check_ab(word))
+
+
+def ab_to_frieze(word: str) -> str:
+    """Translate an A/B word with evenly many A's into a reduced pbqd-word.
+
+    B at even parity of the A's before it gives p, B^-1 = BB gives b; at
+    odd parity they give q and d.  Splitting the word at its A's, with BB
+    and B written b and p, puts the odd-parity pieces at the odd indices.
     """
-
-    __slots__ = ("symbols",)
-
-    def __init__(self, symbols=()):
-        symbols = tuple(symbols)
-        if not _AB_SYMBOLS.issuperset(symbols):
-            bad = next(sym for sym in symbols if sym not in _AB_SYMBOLS)
-            raise ValueError(f"bad symbol {bad!r}")
-        self.symbols = symbols
-
-    @classmethod
-    def from_string(cls, text: str) -> "AbWord":
-        """Parse a printed word, reading maximal runs 'BB' as B^-1."""
-        out, i = [], 0
-        while i < len(text):
-            if text[i] == "A":
-                out.append("A")
-                i += 1
-            elif text.startswith("BB", i):
-                out.append("BB")
-                i += 2
-            elif text[i] == "B":
-                out.append("B")
-                i += 1
-            else:
-                raise ValueError(f"bad character {text[i]!r} in {text!r}")
-        return cls(out)
-
-    def to_matrix(self) -> Psl2Mat:
-        return _product(self.symbols)
-
-    def __str__(self) -> str:
-        return "".join(self.symbols)
-
-    def __repr__(self) -> str:
-        return f"AbWord({str(self)!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbWord) and self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def ab_to_frieze(word: AbWord | str) -> str:
-    """Translate an A,B-word with evenly many A's into a reduced pbqd-word.
-
-    B at even parity of the A's before it gives p, B^-1 gives b; at odd
-    parity they give q and d.  Splitting the word at its A's, with B and
-    B^-1 written p and b, puts the odd-parity pieces at the odd indices.
-    """
-    if isinstance(word, str):
-        word = AbWord.from_string(word)
-    pieces = "".join(map(_AB_LETTER.__getitem__, word.symbols)).split("A")
+    pieces = check_ab(word).replace("BB", "b").translate(_B_LETTER).split("A")
     if len(pieces) % 2 == 0:
         raise OddACount(f"odd number of A's in {word}")
     if len(pieces) > 1:
         pieces[1::2] = "A".join(pieces[1::2]).translate(_ODD_PARITY).split("A")
     reduced = reduce_frieze("".join(pieces))
-    if frieze_to_matrix(reduced) != word.to_matrix():
+    if frieze_to_matrix(reduced) != ab_to_matrix(word):
         raise InvariantError(f"translation of {word} lost group equality")
     return reduced
 

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import CollisionType, InvalidLabel, NotPrimitive
 from .lissajous import is_collision_free, is_primitive, normalize, reduce_to_p0
-from .words import palindromic_christoffel, varphi_n
+from .words import palindromic_christoffel, radius_blocks, varphi_n
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class ClusterSeq:
 
     The word is a concatenation of blocks (xy)^(r-1) x, alternating
     between the left alphabet {b,d} and the right alphabet {p,q}; at
-    each junction b pairs with q and d pairs with p.
+    each junction b pairs with q and d pairs with p, so the blocks cycle
+    through (x, y) = (d, b), (p, q) or through (b, d), (q, p).
     """
 
     radii: tuple[int, ...]
@@ -92,10 +93,6 @@ def type_of(label: LevelSlope) -> tuple[int, int]:
     return m, n
 
 
-_PARTNER = {"b": "q", "q": "b", "d": "p", "p": "d"}
-_OTHER = {"b": "d", "d": "b", "p": "q", "q": "p"}
-
-
 def radii_of(label: LevelSlope) -> tuple[int, ...]:
     """Cluster radii in {N, N+1}: varphi_N of the palindromic conjugate of
     the Christoffel word of slope q/p."""
@@ -104,15 +101,11 @@ def radii_of(label: LevelSlope) -> tuple[int, ...]:
 
 def clusters_of(label: LevelSlope) -> ClusterSeq:
     """Cluster form of H for a label: radii and the word."""
-    radii = radii_of(label)
+    word = palindromic_christoffel(label.p, label.q)
     # |m| = p(3N-2) + q(3N+1) = p + q (mod 3), and m > 0 iff |m| = 1 (mod 3)
-    lead = "d" if (label.p + label.q) % 3 == 1 else "b"
-    parts = []
-    for r in radii:
-        other = _OTHER[lead]
-        parts.append((lead + other) * (r - 1) + lead)
-        lead = _PARTNER[lead]
-    return ClusterSeq(radii=radii, letters="".join(parts))
+    pairs = ("db", "pq") if (label.p + label.q) % 3 == 1 else ("bd", "qp")
+    return ClusterSeq(radii=varphi_n(label.level, word),
+                      letters=radius_blocks(label.level, word, pairs))
 
 
 def class_equal(t1: tuple[int, int], t2: tuple[int, int]) -> bool:

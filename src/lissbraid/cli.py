@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 usage/input error (including an empty verify
-selection and files plot cannot write), 2 collision type (classify
-only), 3 verification failure.
+selection, a verify bound the suite does not take and files plot
+cannot write), 2 collision type (classify only), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -126,14 +127,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {"seed": args.seed}
-    if args.max_m is not None:
-        kwargs["max_m"] = args.max_m
-    if args.max_sum is not None:
-        kwargs["max_sum"] = args.max_sum
-    if args.max_level is not None:
-        kwargs["max_level"] = args.max_level
-    cases = SUITES[args.suite](**kwargs)
+    suite = SUITES[args.suite]
+    bounds = {"max_m": args.max_m, "max_sum": args.max_sum, "max_level": args.max_level}
+    bounds = {name: value for name, value in bounds.items() if value is not None}
+    ignored = [name for name in bounds if name not in inspect.signature(suite).parameters]
+    if ignored:
+        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        raise LissbraidError(f"the {args.suite} suite takes no {flags}")
+    cases = suite(seed=args.seed, **bounds)
     if not cases:
         raise LissbraidError(f"the bounds select no {args.suite} cases")
     failures = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import AbWord, reduce_frieze
+from .algebra import reduce_frieze
 from .errors import CollisionType, DivisibleByThree, InvariantError, NotCoprime
 
 
@@ -105,11 +105,11 @@ def epsilon_seq(nt: NormalizedType) -> EpsSeq:
     return EpsSeq(tuple(int(e == s) for e in signs), signs, _sgn(nt.m))
 
 
-# (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, as space-separated symbols
-_AB_STEP = {(1, 1): "B", (1, -1): "B A", (-1, -1): "BB", (-1, 1): "BB A"}
+# (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, with B^-1 written BB
+_AB_STEP = {(1, 1): "B", (1, -1): "BA", (-1, -1): "BB", (-1, 1): "BBA"}
 
 
-def build_W(nt: NormalizedType) -> AbWord:
+def build_W(nt: NormalizedType) -> str:
     """The braid word of one third of the motion's period, in A and B:
 
         A^{(1 - sgn(m) e_1)/2} B^{e_1} A^{(e_1-e_2)/2} ... B^{e_k} A^{(1 - sgn(m) e_k)/2}
@@ -122,7 +122,7 @@ def build_W(nt: NormalizedType) -> AbWord:
     steps = map(_AB_STEP.__getitem__, zip(signs, signs[1:]))
     last = "B" if signs[-1] == 1 else "BB"
     tail = "A" if sgn_m * signs[-1] == -1 else ""
-    return AbWord(" ".join((head, *steps, last, tail)).split())
+    return "".join((head, *steps, last, tail))
 
 
 # sign e_i -> letter of B^{e_i}, keyed by sgn(m)

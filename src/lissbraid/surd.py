@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .algebra import Psl2Mat, trace_class
 from .errors import InvariantError, NotHyperbolic, TranslationForm
@@ -32,25 +32,31 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _split_square(d: int) -> tuple[int, int]:
-    """d = c*c * rest with rest free of small square factors.
+_PRIMORIAL = prod(_PRIMES)
 
-    Peels the squares of the 168 primes up to 1000 and ends with a
-    perfect-square check; used for display only.  This equals peeling f^2
-    for every f up to 1000: once the squares of all primes below f are
-    peeled, f^2 cannot divide the rest for composite f, whose smallest
-    prime factor g has g^2 | f^2.  A square above the rest cannot divide it.
+
+def _split_square(d: int) -> tuple[int, int]:
+    """d = c*c * rest with rest free of the squares of primes up to 1000.
+
+    Only the squares of the 168 primes up to 1000 are extracted, followed
+    by a perfect-square check; used for display only.  A prime whose
+    square divides d divides g = gcd(d, product of the primes), so one
+    gcd picks the primes to peel and the big d is divided only by those.
+    This equals peeling f^2 for every f up to 1000: once the squares of
+    all primes below f are peeled, f^2 cannot divide the rest for
+    composite f, whose smallest prime factor h has h^2 | f^2.
     """
     if _is_square(d):
         return isqrt(d), 1
-    c = 1
+    c, g = 1, gcd(d, _PRIMORIAL)
     for f in _PRIMES:
-        f2 = f * f
-        if f2 > d:
+        if g == 1:
             break
-        while d % f2 == 0:
-            d //= f2
-            c *= f
+        if g % f == 0:
+            g //= f
+            while d % (f * f) == 0:
+                d //= f * f
+                c *= f
     if _is_square(d):
         c, d = c * isqrt(d), 1
     return c, d
@@ -120,6 +126,10 @@ class QuadSurd:
         return hash(self._key())
 
     def __str__(self) -> str:
+        """(P + c√d)/Q in lowest terms, with c√d = √D.  Only the squares of
+        primes up to 1000 are moved out of D, so two equal surds whose D
+        differ by the square of a larger prime can print differently;
+        equality itself is exact."""
         p, c, d, q = self._display()
         root = f"{abs(c)}√{d}" if abs(c) != 1 else f"√{d}"
         sign = "+" if c > 0 else "-"

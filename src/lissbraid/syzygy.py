@@ -9,9 +9,7 @@ cyclic neighbours.
 from __future__ import annotations
 
 from .classify import LevelSlope, level_slope_of
-from .errors import NotPrimitive
-from .lissajous import is_primitive
-from .words import palindromic_christoffel
+from .words import palindromic_christoffel, radius_blocks
 
 _ARCS = "123"
 
@@ -20,13 +18,10 @@ def omega(label: LevelSlope) -> str:
     """Sign word over +- from the label: each radius r becomes (+-)^(r-1)+.
 
     The radii are N and N+1 in place of the letters 0 and 1 of the
-    palindromic Christoffel word (see classify.radii_of), so omega is one
-    translate of that word.  The length is p(2N-1) + q(2N+1), the letter
-    length of H.
+    palindromic Christoffel word (see classify.radii_of).  The length is
+    p(2N-1) + q(2N+1), the letter length of H.
     """
-    level = label.level
-    blocks = {ord("0"): "+-" * (level - 1) + "+", ord("1"): "+-" * level + "+"}
-    return palindromic_christoffel(label.p, label.q).translate(blocks)
+    return radius_blocks(label.level, palindromic_christoffel(label.p, label.q), ("+-",))
 
 
 def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
@@ -41,7 +36,7 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
     A radius block (+-)^(r-1)+ that starts at arc a visits a and the arc
     one step on alternately, 2r - 1 letters, and moves the walk one step.
     So block i of omega starts i steps from arc 1, and the walk S0 over one
-    omega is written block by block from three tables, one per i mod 3.
+    omega is the radius blocks with one arc pair per i mod 3.
     One omega moves the walk p+q steps, which is not a multiple of 3
     because gcd(p+q, 6) = 1: the walk over the next copy is S0 with every
     arc shifted by those steps (S1), the one after that shifted twice (S2),
@@ -51,17 +46,11 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    if not is_primitive(m, n):
-        raise NotPrimitive(f"{(m, n)} is not primitive")
     label = level_slope_of(m, n)
     step = -1 if m > 0 else 1
     word = palindromic_christoffel(label.p, label.q)
-    blocks = [""] * len(word)
-    for i in range(3):
-        a, b = _ARCS[i * step % 3], _ARCS[(i + 1) * step % 3]
-        table = {"0": (a + b) * (label.level - 1) + a, "1": (a + b) * label.level + a}
-        blocks[i::3] = map(table.__getitem__, word[i::3])
-    s0 = "".join(blocks)
+    pairs = tuple(_ARCS[i * step % 3] + _ARCS[(i + 1) * step % 3] for i in range(3))
+    s0 = radius_blocks(label.level, word, pairs)
     k = len(word) * step % 3
     shift = str.maketrans(_ARCS, _ARCS[k:] + _ARCS[:k])
     s1 = s0.translate(shift)

@@ -10,8 +10,11 @@ from math import gcd
 from .errors import AllOnes, MultiplePalindromes, NoPalindrome
 
 
+_BINARY = frozenset("01")
+
+
 def _check_binary(word: str) -> str:
-    if any(ch not in "01" for ch in word):
+    if not _BINARY.issuperset(word):
         raise ValueError(f"not a word over '01': {word!r}")
     return word
 
@@ -88,6 +91,20 @@ def varphi_n(level: int, word: str) -> tuple[int, ...]:
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     return tuple(level + int(ch) for ch in _check_binary(word))
+
+
+def radius_blocks(level: int, word: str, pairs: tuple[str, ...]) -> str:
+    """Letter i of the word, read as the radius r = N (0) or N+1 (1), becomes
+    the block (xy)^(r-1) x with (x, y) = pairs[i % len(pairs)]."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    _check_binary(word)
+    k = len(pairs)
+    blocks = [""] * len(word)
+    for i, (x, y) in enumerate(pairs):
+        table = {"0": (x + y) * (level - 1) + x, "1": (x + y) * level + x}
+        blocks[i::k] = map(table.__getitem__, word[i::k])
+    return "".join(blocks)
 
 
 def difference_seq(m_abs: int, ell_abs: int) -> str:

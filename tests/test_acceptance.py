@@ -7,7 +7,9 @@ line per criterion.
 import functools
 import math
 
-from lissbraid.algebra import CYCLE_123, CYCLE_132, Psl2Mat, frieze_w, s3_image, trace_class
+from lissbraid.algebra import (
+    CYCLE_123, CYCLE_132, Psl2Mat, ab_to_matrix, frieze_w, s3_image, trace_class,
+)
 from lissbraid.classify import enumerate_p0, level_slope_of
 from lissbraid.lissajous import build_H, build_W, epsilon_seq, normalize
 from lissbraid.report import build_report
@@ -53,7 +55,7 @@ def test_metallic_family():
     for level in range(1, 21):
         m, n = 3 * level - 2, 1 - 3 * level
         k = 2 * level - 1
-        w_mat = build_W(normalize(m, n)).to_matrix()
+        w_mat = ab_to_matrix(build_W(normalize(m, n)))
         assert w_mat == Psl2Mat(1 + k * k, k, k, 1)
         dil = build_report(m, n).dilatation_approx
         metallic = (k + math.sqrt(k * k + 4)) / 2

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import lissbraid.algebra as algebra
 from lissbraid.algebra import (
     A_MAT,
-    AbWord,
     CYCLE_123,
     CYCLE_132,
     LETTER_MATS,
@@ -15,6 +14,8 @@ from lissbraid.algebra import (
     SWAP_13,
     a_conjugate,
     ab_to_frieze,
+    ab_to_matrix,
+    check_ab,
     cyclically_equal,
     factor_of,
     frieze_inverse,
@@ -86,12 +87,12 @@ def _left_fold(mats):
     return out
 
 
-_AB_MATS = {"A": A_MAT, "B": LETTER_MATS["p"], "BB": LETTER_MATS["b"]}
+_AB_MATS = {"A": A_MAT, "B": LETTER_MATS["p"]}
 _RNG = random.Random(5)
 _RANDOM_FRIEZE = ["", "p", "b", "q", "d"] + [
     "".join(_RNG.choice("pbqd") for _ in range(_RNG.randrange(2, 700))) for _ in range(40)]
-_RANDOM_AB = [(), ("A",), ("B",), ("BB",)] + [
-    tuple(_RNG.choice(("A", "B", "BB")) for _ in range(_RNG.randrange(2, 700))) for _ in range(40)]
+_RANDOM_AB = ["", "A", "B", "BB"] + [
+    "".join(_RNG.choice("AB") for _ in range(_RNG.randrange(2, 700))) for _ in range(40)]
 
 
 def test_frieze_to_matrix_equals_left_fold():
@@ -100,8 +101,8 @@ def test_frieze_to_matrix_equals_left_fold():
 
 
 def test_ab_word_matrix_equals_left_fold():
-    for symbols in _RANDOM_AB:
-        assert AbWord(symbols).to_matrix() == _left_fold(_AB_MATS[sym] for sym in symbols), symbols
+    for word in _RANDOM_AB:
+        assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
 
 
 def test_chunk_memo_stays_bounded():
@@ -109,12 +110,13 @@ def test_chunk_memo_stays_bounded():
     for _ in range(500):
         word = "".join(rng.choice("pbqd") for _ in range(rng.randrange(0, 301)))
         assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word)
-        symbols = [rng.choice(("A", "B", "BB")) for _ in range(rng.randrange(0, 301))]
-        assert AbWord(symbols).to_matrix() == _left_fold(_AB_MATS[sym] for sym in symbols)
+        ab_word = "".join(rng.choice("AB") for _ in range(rng.randrange(0, 301)))
+        assert ab_to_matrix(ab_word) == _left_fold(_AB_MATS[ch] for ch in ab_word)
     keys = list(algebra._CHUNK_ENTRIES)
-    assert sum(isinstance(key, str) for key in keys) <= 4 + 16 + 64 + 256
-    assert sum(isinstance(key, tuple) for key in keys) <= 3 + 9 + 27 + 81
-    assert all(isinstance(key, (str, tuple)) and 1 <= len(key) <= 4 for key in keys)
+    assert all(isinstance(key, str) and 1 <= len(key) <= 4 for key in keys)
+    assert sum(set(key) <= set("pbqd") for key in keys) <= 4 + 16 + 64 + 256
+    assert sum(set(key) <= set("AB") for key in keys) <= 2 + 4 + 8 + 16
+    assert all(set(key) <= set("pbqd") or set(key) <= set("AB") for key in keys)
 
 
 def test_sign_normalization():
@@ -152,9 +154,14 @@ def test_ab_to_frieze_examples(text, expected):
 
 
 def test_ab_word_roundtrip_printing():
-    w = AbWord(["A", "BB", "A", "B"])
-    assert str(w) == "ABBAB"
-    assert AbWord.from_string("ABBAB") == w
+    # A/B words are plain strings: validation returns the word as printed
+    assert check_ab("ABBAB") == "ABBAB"
+    assert ab_to_matrix("ABBAB") == A_MAT * LETTER_MATS["b"] * A_MAT * LETTER_MATS["p"]
+    for bad in ("ABx", "ApA", "a"):
+        with pytest.raises(ValueError):
+            ab_to_matrix(bad)
+        with pytest.raises(ValueError):
+            ab_to_frieze(bad)
 
 
 def test_ab_translation_check_is_a_real_error(monkeypatch):
@@ -169,15 +176,14 @@ def test_odd_a_count_rejected():
         ab_to_frieze("AB")
 
 
-ab_symbols = st.lists(st.sampled_from(["A", "B", "BB"]), max_size=40)
+ab_words = st.text(alphabet="AB", max_size=80)
 
 
-@given(ab_symbols)
-def test_ab_translation_preserves_matrix(symbols):
-    if sum(1 for s in symbols if s == "A") % 2:
-        symbols = symbols + ["A"]
-    w = AbWord(symbols)
-    assert frieze_to_matrix(ab_to_frieze(w)) == w.to_matrix()
+@given(ab_words)
+def test_ab_translation_preserves_matrix(word):
+    if word.count("A") % 2:
+        word += "A"
+    assert frieze_to_matrix(ab_to_frieze(word)) == ab_to_matrix(word)
 
 
 # --- S3 image --------------------------------------------------------------

@@ -1,7 +1,11 @@
+import io
 import json
 import pathlib
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lissbraid.classify import level_slope_of
 from lissbraid.cli import main
@@ -198,6 +202,21 @@ def test_verify_bijection_over_empty_set_exits_1(capsys, bounds):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [("--suite", "collision", "--max-m", "2"),
+                                  ("--suite", "cf", "--max-sum", "3")])
+def test_verify_bound_the_suite_does_not_take_exits_1(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and argv[-2] in err and len(err.splitlines()) == 1
+
+
+def test_verify_bound_the_suite_takes_still_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "epsilon", "--max-m", "5")
+    assert code == 0
+    assert "FAIL" not in out and out.strip().endswith("cases pass")
+
+
 def test_plot_shape_svg(tmp_path, capsys):
     out_path = tmp_path / "s.svg"
     code, out, _ = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))
@@ -269,3 +288,20 @@ def test_report_round_trip(capsys):
     d1.pop("input")
     d2.pop("input")
     assert d1 == d2
+
+
+frequencies = st.integers(-5000, 5000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(frequencies, frequencies).filter(lambda mn: gcd(*mn) == 1))
+def test_cli_answers_every_coprime_type_without_traceback(mn):
+    m, n = mn
+    for argv in (["classify", "--type", f"{m},{n}", "--json"],
+                 ["cf", "--type", f"{m},{n}"],
+                 ["syzygy", "--type", f"{m},{n}"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from lissbraid.algebra import A_MAT, AbWord, ab_to_frieze, frieze_w, reduce_frieze
+from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w, reduce_frieze
 from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
@@ -220,19 +220,18 @@ def _ab_by_loop(signs, sgn_m, last_exp_from_first):
     end_sign = signs[0] if last_exp_from_first else signs[-1]
     if (1 - sgn_m * end_sign) // 2:
         symbols.append("A")
-    return AbWord(symbols)
+    return "".join(symbols)
 
 
 def _frieze_by_parity_scan(word):
-    """Reference: ab_to_frieze, keeping the parity of A's one symbol at a time."""
+    """Reference: ab_to_frieze, keeping the parity of A's one letter at a
+    time; each B is p or q, and reduction turns BB into b or d."""
     parity, letters = 0, []
-    for sym in word:
-        if sym == "A":
+    for ch in word:
+        if ch == "A":
             parity ^= 1
-        elif sym == "B":
-            letters.append("p" if parity == 0 else "q")
         else:
-            letters.append("b" if parity == 0 else "d")
+            letters.append("p" if parity == 0 else "q")
     assert parity == 0
     return reduce_frieze("".join(letters))
 

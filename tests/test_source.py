@@ -1,4 +1,5 @@
 import ast
+import doctest
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lissbraid"
@@ -11,3 +12,8 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_readme_examples_run_as_doctests():
+    result = doctest.testfile(str(SRC.parent.parent / "README.md"), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0, result
