@@ -97,6 +97,8 @@ def cmd_plot(args) -> int:
         raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
     if args.steps < 2:
         raise LissbraidError(f"--steps must be >= 2, got {args.steps}")
+    if args.max_denominator < 1:
+        raise LissbraidError(f"--max-denominator must be >= 1, got {args.max_denominator}")
     nt = normalize(m, n)
     if args.kind == "shape":
         if not is_collision_free(m, n):

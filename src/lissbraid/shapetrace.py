@@ -7,7 +7,8 @@ Everything here re-derives data from the geometry of
 with rho = exp(i pi/3), l = ell and a small amplitude ratio r = B/A,
 independently of the exact integer formulas, so the two routes can be
 checked against each other.  SVG and CSV emission for the shape sphere
-and the upper half plane live here as well.
+and the upper half plane live here as well.  numpy is imported inside
+the functions that compute with it, so the exact CLI commands never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .algebra import Psl2Mat
 from .errors import BorderHit, CollisionType, OnBorder, Unstable
@@ -69,6 +68,7 @@ def start_offset(nt: NormalizedType) -> float:
 
 
 def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
+    import numpy as np
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0,1), got {ratio}")
     ts = np.asarray(ts, dtype=float)
@@ -78,6 +78,7 @@ def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
 
 def sample_curve(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000) -> list[ShapeSample]:
     """steps samples of the shape curve over one third of a period."""
+    import numpy as np
     _check_free(nt)
     delta = start_offset(nt)
     ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
@@ -91,6 +92,7 @@ def epsilon_oracle(nt: NormalizedType, ratio: float = DEFAULT_RATIO, max_halving
 
     The amplitude ratio is halved until two consecutive ratios agree.
     """
+    import numpy as np
     _check_free(nt)
     am = abs(nt.m)
     sgn_l = 1 if nt.ell > 0 else -1
@@ -111,6 +113,7 @@ def epsilon_oracle(nt: NormalizedType, ratio: float = DEFAULT_RATIO, max_halving
 
 
 def _pairwise_min(m: int, n: int, ts: np.ndarray) -> np.ndarray:
+    import numpy as np
     pos = np.sin(2 * math.pi * m * ts) + 1j * np.sin(2 * math.pi * n * ts)
     a = np.sin(2 * math.pi * m * (ts - 1 / 3)) + 1j * np.sin(2 * math.pi * n * (ts - 1 / 3))
     c = np.sin(2 * math.pi * m * (ts + 1 / 3)) + 1j * np.sin(2 * math.pi * n * (ts + 1 / 3))
@@ -123,6 +126,7 @@ def collision_scan(m: int, n: int, steps: int | None = None) -> float:
     Coarse grid minimum refined by golden-section search around the
     argmin (the distance is V-shaped near a genuine collision).
     """
+    import numpy as np
     if gcd(m, n) != 1:
         raise ValueError(f"gcd{(m, n)} != 1")
     if steps is None:
@@ -188,6 +192,7 @@ def _crossings(nt: NormalizedType, ratio: float, steps: int) -> list[tuple[float
     The closed interval [delta, 1 + delta] brackets all 6|ell| crossings;
     its endpoints sit strictly between crossings by the choice of delta.
     """
+    import numpy as np
     delta = start_offset(nt)
     ts = np.linspace(delta, 1.0 + delta, steps + 1)
     f = np.abs(psi_values(nt, ratio, ts)) - 1.0
@@ -258,6 +263,7 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
               path: str = "shape.svg") -> str:
     """Shape-sphere figure: compressed equator, border rays, collision
     points, and the full-period curve.  Returns the path written."""
+    import numpy as np
     from .classify import level_slope_of
     from .lissajous import reduce_to_p0
 
@@ -376,6 +382,7 @@ def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane
 
 def periodicity_defect(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 500) -> float:
     """max |psi(t + 1/3) - omega psi(t)| over sampled t; near 0 by symmetry."""
+    import numpy as np
     delta = start_offset(nt)
     ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
     omega_c = cmath.exp(2j * math.pi / 3)

@@ -90,7 +90,7 @@ def varphi_n(level: int, word: str) -> tuple[int, ...]:
     """Letter replacement 0 -> N, 1 -> N+1."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    return tuple(level + int(ch) for ch in _check_binary(word))
+    return tuple(map({"0": level, "1": level + 1}.__getitem__, _check_binary(word)))
 
 
 def radius_blocks(level: int, word: str, pairs: tuple[str, ...]) -> str:

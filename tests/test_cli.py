@@ -262,6 +262,16 @@ def test_plot_rejects_fewer_than_two_steps(tmp_path, capsys, steps):
     assert err.startswith("error:") and "--steps" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_denominator", ["0", "-2"])
+def test_plot_rejects_max_denominator_below_one(tmp_path, capsys, max_denominator):
+    out_path = tmp_path / "h.svg"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--kind", "halfplane",
+                         "--max-denominator", max_denominator, "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--max-denominator" in err and len(err.splitlines()) == 1
+
+
 def test_plot_unwritable_out_exits_1(tmp_path, capsys):
     for out_path in (tmp_path / "missing" / "s.svg", tmp_path):
         code, out, err = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))

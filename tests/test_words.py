@@ -139,6 +139,20 @@ def test_varphi_n_examples(level, w, expected):
     assert varphi_n(level, w) == expected
 
 
+def test_varphi_n_matches_per_letter_form():
+    rng = random.Random(5)
+    for _ in range(200):
+        level = rng.randint(1, 60)
+        w = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+        assert varphi_n(level, w) == tuple(level + int(ch) for ch in w)
+
+
+@pytest.mark.parametrize("level,w", [(0, "01"), (1, "012"), (2, "0a")])
+def test_varphi_n_rejects_bad_input(level, w):
+    with pytest.raises(ValueError):
+        varphi_n(level, w)
+
+
 @pytest.mark.parametrize("m,l,expected", [
     (4, 3, "1011"),
     (1, 1, "1"),
