@@ -99,6 +99,8 @@ def cmd_plot(args) -> int:
         raise LissbraidError(f"--steps must be >= 2, got {args.steps}")
     if args.max_denominator < 1:
         raise LissbraidError(f"--max-denominator must be >= 1, got {args.max_denominator}")
+    if args.kind == "halfplane" and args.format == "csv":
+        raise LissbraidError("--format csv needs --kind shape; the half-plane figure is SVG only")
     nt = normalize(m, n)
     if args.kind == "shape":
         if not is_collision_free(m, n):

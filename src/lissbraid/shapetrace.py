@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import Psl2Mat
-from .errors import BorderHit, CollisionType, OnBorder, Unstable
-from .lissajous import NormalizedType
+from .errors import BorderHit, OnBorder, Unstable
+from .lissajous import NormalizedType, _check_collision_free
 from .surd import far_endpoint, fixed_points
 
 RHO = cmath.exp(1j * math.pi / 3)
@@ -56,11 +56,6 @@ class Region:
     third: int
 
 
-def _check_free(nt: NormalizedType) -> None:
-    if nt.ell % 2 == 0:
-        raise CollisionType(f"type {(nt.m, nt.n)} has even ell")
-
-
 def start_offset(nt: NormalizedType) -> float:
     """Start time just before (ell > 0) or after (ell < 0) zero."""
     sgn_l = 1 if nt.ell > 0 else -1
@@ -79,31 +74,33 @@ def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
 def sample_curve(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000) -> list[ShapeSample]:
     """steps samples of the shape curve over one third of a period."""
     import numpy as np
-    _check_free(nt)
+    _check_collision_free(nt)
     delta = start_offset(nt)
     ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
     psis = psi_values(nt, ratio, ts)
     return [ShapeSample(float(t), complex(p)) for t, p in zip(ts, psis)]
 
 
-def epsilon_oracle(nt: NormalizedType, ratio: float = DEFAULT_RATIO, max_halvings: int = 20) -> tuple[int, ...]:
+def epsilon_oracle(nt: NormalizedType) -> tuple[int, ...]:
     """Bits from geometry: bit k is 0 iff sign(1 - |psi(t_k)|) = sign(ell),
     at the collision-passage times t_k = 1/(12|m|) + (k-1)/(6|m|).
 
-    The amplitude ratio is halved until two consecutive ratios agree.
+    The amplitude ratio is halved, at most 20 times, until two
+    consecutive ratios agree.
     """
     import numpy as np
-    _check_free(nt)
+    _check_collision_free(nt)
     am = abs(nt.m)
     sgn_l = 1 if nt.ell > 0 else -1
     ts = np.array([1.0 / (12 * am) + (k - 1) / (6.0 * am) for k in range(1, 2 * am + 1)])
 
     def bits_at(r: float) -> tuple[int, ...]:
         radii = np.abs(psi_values(nt, r, ts))
-        return tuple(0 if (1.0 - rad) * sgn_l > 0 else 1 for rad in radii)
+        return tuple(np.where((1.0 - radii) * sgn_l > 0, 0, 1).tolist())
 
+    ratio = DEFAULT_RATIO
     prev = bits_at(ratio)
-    for _ in range(max_halvings):
+    for _ in range(20):
         ratio /= 2.0
         cur = bits_at(ratio)
         if cur == prev:
@@ -120,40 +117,33 @@ def _pairwise_min(m: int, n: int, ts: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(a - pos), np.minimum(np.abs(pos - c), np.abs(c - a)))
 
 
-def collision_scan(m: int, n: int, steps: int | None = None) -> float:
+def collision_scan(m: int, n: int) -> float:
     """Minimum pairwise distance of the three bodies over one period.
 
-    Coarse grid minimum refined by golden-section search around the
-    argmin (the distance is V-shaped near a genuine collision).
+    The coarse grid has 512 points per unit of the larger frequency, so
+    within one cell of its argmin the distance has a single minimum (it
+    is V-shaped near a genuine collision).  A bracket zoom refines it:
+    each round samples the bracket on 33 points and keeps the two cells
+    beside the smallest sample.  A unimodal function has its minimum
+    next to its smallest sample, so those cells still bracket it, and
+    12 rounds shrink the bracket 16^12-fold, below float resolution.
     """
     import numpy as np
     if gcd(m, n) != 1:
         raise ValueError(f"gcd{(m, n)} != 1")
-    if steps is None:
-        steps = max(2048, 512 * max(abs(m), abs(n)))
+    steps = max(2048, 512 * max(abs(m), abs(n)))
     ts = np.linspace(0.0, 1.0, steps, endpoint=False)
     dist = _pairwise_min(m, n, ts)
     i = int(np.argmin(dist))
-    h = 1.0 / steps
-    lo, hi = ts[i] - h, ts[i] + h
-
-    def g(t: float) -> float:
-        return float(_pairwise_min(m, n, np.array([t]))[0])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(200):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = g(x2)
-    return min(float(dist[i]), f1, f2)
+    best = float(dist[i])
+    lo, hi = ts[i] - 1.0 / steps, ts[i] + 1.0 / steps
+    for _ in range(12):
+        grid = np.linspace(lo, hi, 33)
+        dist = _pairwise_min(m, n, grid)
+        j = int(np.argmin(dist))
+        best = min(best, float(dist[j]))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
+    return best
 
 
 def region_of(psi: complex, tol: float = BORDER_TOL) -> Region:
@@ -170,13 +160,14 @@ def region_of(psi: complex, tol: float = BORDER_TOL) -> Region:
     return Region(label=("I", "II", "III")[k] + hemi, hemisphere=hemi, third=k)
 
 
-def region_itinerary(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 30000) -> list[str]:
-    """Regions visited over one third of a period, duplicates compressed.
+def region_itinerary(nt: NormalizedType) -> list[str]:
+    """Regions visited over one third of a period (30000 samples),
+    duplicates compressed.
 
     Samples on or too near a border are skipped.
     """
     labels: list[str] = []
-    for sample in sample_curve(nt, ratio, steps):
+    for sample in sample_curve(nt, DEFAULT_RATIO, 30000):
         try:
             label = region_of(sample.psi, tol=1e-7).label
         except OnBorder:
@@ -186,8 +177,9 @@ def region_itinerary(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: in
     return labels
 
 
-def _crossings(nt: NormalizedType, ratio: float, steps: int) -> list[tuple[float, float]]:
-    """(time, angle) of each equator crossing over one full period.
+def _crossings(nt: NormalizedType, ratio: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and angles in [0, 2pi) of the equator crossings over one full
+    period, each bisected 80 times, all brackets at once.
 
     The closed interval [delta, 1 + delta] brackets all 6|ell| crossings;
     its endpoints sit strictly between crossings by the choice of delta.
@@ -196,52 +188,43 @@ def _crossings(nt: NormalizedType, ratio: float, steps: int) -> list[tuple[float
     delta = start_offset(nt)
     ts = np.linspace(delta, 1.0 + delta, steps + 1)
     f = np.abs(psi_values(nt, ratio, ts)) - 1.0
-    out = []
-    for i in np.nonzero(f[:-1] * f[1:] < 0)[0]:
-        lo, hi = ts[i], ts[i + 1]
-        flo = f[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = float(abs(psi_values(nt, ratio, np.array([mid]))[0])) - 1.0
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        t = 0.5 * (lo + hi)
-        theta = cmath.phase(complex(psi_values(nt, ratio, np.array([t]))[0])) % (2 * math.pi)
-        out.append((float(t), theta))
-    return out
+    i = np.nonzero(f[:-1] * f[1:] < 0)[0]
+    lo, hi, flo = ts[i], ts[i + 1], f[i]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = np.abs(psi_values(nt, ratio, mid)) - 1.0
+        left = flo * fmid <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    t = 0.5 * (lo + hi)
+    return t, np.angle(psi_values(nt, ratio, t)) % (2 * math.pi)
 
 
-def syzygy_oracle(nt: NormalizedType, ratio: float = DEFAULT_RATIO) -> str:
+def syzygy_oracle(nt: NormalizedType) -> str:
     """Arc labels of the equator crossings of one period, from geometry.
 
     Arc 1 is arg in (0, 2pi/3), arc 2 (2pi/3, 4pi/3), arc 3 (4pi/3, 2pi).
-    A crossing within the guard distance of a collision point triggers a
-    retry with a smaller amplitude ratio.
+    A wrong crossing count, or a crossing within the guard distance of a
+    collision point, triggers a retry with half the amplitude ratio.  When
+    6 ratios fail, the error is BorderHit if one of them grazed, else
+    Unstable.
     """
-    _check_free(nt)
+    import numpy as np
+    _check_collision_free(nt)
     expected = 6 * abs(nt.ell)
     last_err: BorderHit | None = None
     for attempt in range(6):
-        r = ratio / 2**attempt
-        crossings = _crossings(nt, r, steps=max(4096, 256 * expected))
-        if len(crossings) != expected:
+        t, theta = _crossings(nt, DEFAULT_RATIO / 2**attempt, steps=max(4096, 256 * expected))
+        if len(t) != expected:
             continue
-        try:
-            labels = []
-            for t, theta in crossings:
-                if min(theta % _THIRD, _THIRD - theta % _THIRD) < CROSSING_GUARD:
-                    raise BorderHit(f"crossing at angle {theta} grazes a collision point")
-                labels.append(1 + int(theta // _THIRD))
-        except BorderHit as err:
-            last_err = err
+        rem = theta % _THIRD
+        grazes = np.nonzero(np.minimum(rem, _THIRD - rem) < CROSSING_GUARD)[0]
+        if len(grazes):
+            last_err = BorderHit(f"crossing at angle {theta[grazes[0]]} grazes a collision point")
             continue
         # rotate so the crossing nearest an integer time comes first
-        times = [t for t, _ in crossings]
-        first = min(range(len(times)), key=lambda i: abs(times[i] - round(times[i])))
-        labels = labels[first:] + labels[:first]
-        return "".join(map(str, labels))
+        first = int(np.argmin(np.abs(t - np.round(t))))
+        return "".join(map(str, np.roll(1 + (theta // _THIRD).astype(int), -first)))
     raise last_err or Unstable(f"could not isolate {expected} crossings for {(nt.m, nt.n)}")
 
 
@@ -267,7 +250,7 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
     from .classify import level_slope_of
     from .lissajous import reduce_to_p0
 
-    _check_free(nt)
+    _check_collision_free(nt)
     label = level_slope_of(*reduce_to_p0(nt))
     meta = f"type=({nt.m},{nt.n}) level={label.level} slope={label.slope_str}"
     delta = start_offset(nt)
@@ -321,21 +304,23 @@ def csv_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 200
 
 def farey_edges(x0: int, x1: int, max_denominator: int) -> list[tuple[Fraction, Fraction]]:
     """Geodesic edges of the Farey tessellation over [x0, x1]: all pairs of
-    reduced fractions with denominators <= max_denominator and |ad - bc| = 1."""
-    fracs = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, max_denominator + 1)
-            for p in range(x0 * q, x1 * q + 1)
-            if gcd(abs(p), q) == 1
-        }
-    )
-    out = []
-    for i, u in enumerate(fracs):
-        for v in fracs[i + 1:]:
-            if abs(u.numerator * v.denominator - u.denominator * v.numerator) == 1:
-                out.append((u, v))
-    return out
+    reduced fractions with denominators <= max_denominator and |ad - bc| = 1,
+    sorted.
+
+    Each edge is an integer edge (k, k+1) or joins a fraction c/d with
+    d >= 2 to one of its two Farey parents a/b < c/d < (c-a)/(d-b), where
+    b = c^-1 mod d and a = (cb - 1)/d, so cb - ad = 1.  Listing those
+    takes time proportional to the number of edges.
+    """
+    out = [(Fraction(k), Fraction(k + 1)) for k in range(x0, x1)]
+    for d in range(2, max_denominator + 1):
+        for c in range(x0 * d + 1, x1 * d):
+            if gcd(c, d) == 1:
+                b = pow(c, -1, d)
+                a = (c * b - 1) // d
+                u = Fraction(c, d)
+                out += [(Fraction(a, b), u), (u, Fraction(c - a, d - b))]
+    return sorted(out)
 
 
 def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane.svg") -> str:
@@ -380,12 +365,12 @@ def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane
     return path
 
 
-def periodicity_defect(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 500) -> float:
-    """max |psi(t + 1/3) - omega psi(t)| over sampled t; near 0 by symmetry."""
+def periodicity_defect(nt: NormalizedType) -> float:
+    """max |psi(t + 1/3) - omega psi(t)| over 500 sampled t; near 0 by symmetry."""
     import numpy as np
     delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
+    ts = np.linspace(delta, 1.0 / 3.0 + delta, 500)
     omega_c = cmath.exp(2j * math.pi / 3)
-    left = psi_values(nt, ratio, ts + 1.0 / 3.0)
-    right = omega_c * psi_values(nt, ratio, ts)
+    left = psi_values(nt, DEFAULT_RATIO, ts + 1.0 / 3.0)
+    right = omega_c * psi_values(nt, DEFAULT_RATIO, ts)
     return float(np.max(np.abs(left - right)))

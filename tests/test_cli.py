@@ -272,6 +272,15 @@ def test_plot_rejects_max_denominator_below_one(tmp_path, capsys, max_denominato
     assert err.startswith("error:") and "--max-denominator" in err and len(err.splitlines()) == 1
 
 
+def test_plot_rejects_csv_halfplane(tmp_path, capsys):
+    out_path = tmp_path / "h.csv"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--kind", "halfplane",
+                         "--format", "csv", "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--format" in err and len(err.splitlines()) == 1
+
+
 def test_plot_unwritable_out_exits_1(tmp_path, capsys):
     for out_path in (tmp_path / "missing" / "s.svg", tmp_path):
         code, out, err = run(capsys, "plot", "--type", "4,-5", "--out", str(out_path))

@@ -7,13 +7,15 @@ from math import gcd
 import numpy as np
 import pytest
 
+from lissbraid import shapetrace
 from lissbraid.algebra import Psl2Mat
 from lissbraid.classify import enumerate_p0, level_slope_of
 from lissbraid.errors import CollisionType, OnBorder
-from lissbraid.lissajous import epsilon_seq, normalize
+from lissbraid.lissajous import epsilon_seq, is_collision_free, normalize
 from lissbraid.shapetrace import (
     EQ_PERIOD_TOL,
     RHO,
+    SEPARATION_EPS,
     collision_scan,
     csv_shape,
     epsilon_oracle,
@@ -88,6 +90,27 @@ def test_collision_scan_examples():
         collision_scan(2, 4)
 
 
+def test_collision_scan_converges(monkeypatch):
+    # every coprime pair with 1 <= m <= 18, |n| <= 18 and 3 not dividing mn
+    pairs = [(m, n) for m in range(1, 19) for n in range(-18, 19)
+             if n != 0 and gcd(m, n) == 1 and (m * n) % 3 != 0]
+    assert len(pairs) == 198
+    for m, n in pairs:
+        minimum = collision_scan(m, n)
+        assert (minimum > SEPARATION_EPS) == is_collision_free(m, n), (m, n)
+        if not is_collision_free(m, n):
+            assert minimum < 1e-12, (m, n, minimum)
+    # these collisions fall on the coarse grid, so shift time off it: a
+    # minimum at float noise, not merely below COLLISION_EPS, then shows
+    # that the refinement ran to the end
+    pairwise_min = shapetrace._pairwise_min
+    monkeypatch.setattr(shapetrace, "_pairwise_min",
+                        lambda m, n, ts: pairwise_min(m, n, ts + math.pi * 1e-5))
+    for m, n in pairs:
+        if not is_collision_free(m, n):
+            assert collision_scan(m, n) < 1e-12, (m, n)
+
+
 def test_region_of_examples():
     assert region_of(1.5 * cmath.exp(0.3j)).label == "I-"
     assert region_of(0.5 * cmath.exp(0.3j)).label == "I+"
@@ -137,10 +160,12 @@ def test_syzygy_oracle_crossing_count():
 
 
 def test_syzygy_oracle_matches_symbolic():
-    for m, n in enumerate_p0(8):
+    for m, n in enumerate_p0(20):
         numeric = syzygy_oracle(normalize(m, n))
         symbolic = syzygy_sequence(m, n)
         assert numeric in symbolic + symbolic
+        # the crossing nearest an integer time comes first, as the walk's arc 1
+        assert numeric == symbolic, (m, n)
 
 
 def test_sample_curve_rejects_collision_types():
@@ -190,17 +215,24 @@ def test_csv_shape(tmp_path):
     assert abs(complex(re, im)) > 0
 
 
-def test_farey_edges_oracle():
-    # brute-force neighbor enumeration over [0,1]
-    fracs = sorted({Fraction(p, q) for q in range(1, 4) for p in range(0, q + 1) if gcd(p, q) == 1})
-    brute = [
+def _farey_brute(x0, x1, max_denominator):
+    # every pair of reduced fractions in [x0, x1] tested for |ad - bc| = 1
+    fracs = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
+                    for p in range(x0 * q, x1 * q + 1) if gcd(p, q) == 1})
+    return [
         (u, v)
         for i, u in enumerate(fracs)
         for v in fracs[i + 1:]
         if abs(u.numerator * v.denominator - u.denominator * v.numerator) == 1
     ]
-    assert len(brute) == 7
-    assert sorted(farey_edges(0, 1, 3)) == sorted(brute)
+
+
+def test_farey_edges_oracle():
+    assert len(_farey_brute(0, 1, 3)) == 7
+    for x0, x1 in [(0, 1), (-2, 5), (-3, -1)]:
+        for max_denominator in range(1, 13):
+            assert farey_edges(x0, x1, max_denominator) == _farey_brute(x0, x1, max_denominator)
+    assert len(farey_edges(-2, 5, 80)) == 27517
     # max denominator 1: consecutive integers only
     assert farey_edges(0, 3, 1) == [
         (Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3))
