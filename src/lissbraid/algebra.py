@@ -89,13 +89,11 @@ def second_half(half: str) -> str:
 
 
 def _cyclic_reduce(word: str) -> str:
+    # each pass conjugates by the last letter, which then merges with the
+    # first, so the length drops and the loop ends
     w = reduce_frieze(word)
     while len(w) >= 2 and _FACTOR[w[0]] == _FACTOR[w[-1]]:
-        fac = _FACTOR[w[0]]
-        exp = (_EXPONENT[w[-1]] + _EXPONENT[w[0]]) % 3
-        mid = w[1:-1]
-        w = mid if exp == 0 else mid + _LETTER[(fac, exp)]
-        w = reduce_frieze(w)
+        w = reduce_frieze(w[-1] + w[:-1])
     return w
 
 
@@ -274,42 +272,10 @@ def ab_to_frieze(word: str) -> str:
     return reduced
 
 
-@dataclass(frozen=True)
-class Perm3:
-    """Permutation of {1,2,3}, stored as the image tuple (s(1), s(2), s(3))."""
-
-    image: tuple[int, int, int]
-
-    def __post_init__(self):
-        if sorted(self.image) != [1, 2, 3]:
-            raise ValueError(f"not a permutation of 1,2,3: {self.image}")
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
-    def __mul__(self, other: "Perm3") -> "Perm3":
-        """Composition self after other."""
-        return Perm3(tuple(self(other(i)) for i in (1, 2, 3)))
-
-    def __str__(self) -> str:
-        names = {(1, 2, 3): "id", (2, 3, 1): "(123)", (3, 1, 2): "(132)",
-                 (2, 1, 3): "(12)", (1, 3, 2): "(23)", (3, 2, 1): "(13)"}
-        return names[self.image]
-
-
-PERM_ID = Perm3((1, 2, 3))
-CYCLE_123 = Perm3((2, 3, 1))
-CYCLE_132 = Perm3((3, 1, 2))
-SWAP_13 = Perm3((3, 2, 1))
-
-_CYCLE_POWERS = (PERM_ID, CYCLE_123, CYCLE_132)
-
-
-def s3_image(word: str) -> Perm3:
-    """Image of a pbqd-word in S3, fixed by p,d -> (123) and b,q -> (132).
-
-    (132) = (123)^2, so every letter maps to a power of (123) and the image
-    is (123)^k with k = #p + #d + 2(#b + #q) mod 3.
+def s3_image(word: str) -> int:
+    """Image (123)^k of a pbqd-word in S3 under p,d -> (123), b,q -> (132),
+    given as k in {0, 1, 2}: the index-2 subgroup maps onto A3 = <(123)>,
+    and (132) = (123)^2, so k = #p + #d + 2(#b + #q) mod 3.
     """
     count = check_frieze(word).count
-    return _CYCLE_POWERS[(count("p") + count("d") + 2 * (count("b") + count("q"))) % 3]
+    return (count("p") + count("d") + 2 * (count("b") + count("q"))) % 3

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CollisionType, InvalidLabel, NotPrimitive
-from .lissajous import is_collision_free, is_primitive, normalize, reduce_to_p0
+from .errors import InvalidLabel, NotPrimitive
+from .lissajous import is_primitive
 from .words import palindromic_christoffel, radius_blocks, varphi_n
 
 
@@ -106,14 +106,6 @@ def clusters_of(label: LevelSlope) -> ClusterSeq:
     pairs = ("db", "pq") if (label.p + label.q) % 3 == 1 else ("bd", "qp")
     return ClusterSeq(radii=varphi_n(label.level, word),
                       letters=radius_blocks(label.level, word, pairs))
-
-
-def class_equal(t1: tuple[int, int], t2: tuple[int, int]) -> bool:
-    """Whether two collision-free types produce the same braid class."""
-    for t in (t1, t2):
-        if not is_collision_free(*t):
-            raise CollisionType(f"type {t} is not collision-free")
-    return reduce_to_p0(normalize(*t1)) == reduce_to_p0(normalize(*t2))
 
 
 def enumerate_p0(max_m: int) -> list[tuple[int, int]]:

@@ -97,8 +97,8 @@ def cmd_plot(args) -> int:
         raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
     if args.steps < 2:
         raise LissbraidError(f"--steps must be >= 2, got {args.steps}")
-    if args.max_denominator < 1:
-        raise LissbraidError(f"--max-denominator must be >= 1, got {args.max_denominator}")
+    if not 1 <= args.max_denominator <= 100:
+        raise LissbraidError(f"--max-denominator must lie in [1, 100], got {args.max_denominator}")
     if args.kind == "halfplane" and args.format == "csv":
         raise LissbraidError("--format csv needs --kind shape; the half-plane figure is SVG only")
     nt = normalize(m, n)

@@ -64,6 +64,3 @@ class Unstable(LissbraidError):
 class BorderHit(LissbraidError):
     """A numeric crossing landed too close to a collision point."""
 
-
-class OnBorder(LissbraidError):
-    """A point lies on the equator or a border ray within tolerance."""

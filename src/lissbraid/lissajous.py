@@ -35,22 +35,6 @@ class NormalizedType:
         return {"m": self.m, "n": self.n, "ell": self.ell}
 
 
-@dataclass(frozen=True)
-class EpsSeq:
-    """The 01-sequence of length 2|m| and its sign form.
-
-    signs[k] = sgn(m*ell) * (2*bits[k] - 1); both halves of bits are
-    palindromic and complementary to each other.
-    """
-
-    bits: tuple[int, ...]
-    signs: tuple[int, ...]
-    sgn_m: int
-
-    def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 def normalize(m: int, n: int) -> NormalizedType:
     """Flip signs of m and n independently until both are 1 mod 3."""
     if m == 0 or n == 0:
@@ -94,15 +78,15 @@ def _signs(nt: NormalizedType, count: int) -> tuple[int, ...]:
     return tuple(map((-s, s).__getitem__, map((2 * am).__le__, map((4 * am).__rmod__, xs))))
 
 
-def epsilon_seq(nt: NormalizedType) -> EpsSeq:
-    """The 01-sequence bits[k] = floor(|ell|k/|m| - |ell|/(2|m|)) mod 2.
+def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
+    """The 01-sequence bits[k] = floor(|ell|k/|m| - |ell|/(2|m|)) mod 2,
+    k = 1..2|m|, whose sign form is sgn(m*ell) * (2*bits[k] - 1).
 
     Evaluated as floor((2|ell|k - |ell|) / (2|m|)) in exact integers;
     the argument is never an integer since |ell| is odd.
     """
-    signs = _signs(nt, 2 * abs(nt.m))
     s = _sgn(nt.m * nt.ell)
-    return EpsSeq(tuple(int(e == s) for e in signs), signs, _sgn(nt.m))
+    return tuple(int(e == s) for e in _signs(nt, 2 * abs(nt.m)))
 
 
 # (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, with B^-1 written BB
@@ -116,8 +100,7 @@ def build_W(nt: NormalizedType) -> str:
 
     over the k = 2|m| signs e_i of the epsilon sequence.
     """
-    eps = epsilon_seq(nt)
-    signs, sgn_m = eps.signs, eps.sgn_m
+    signs, sgn_m = _signs(nt, 2 * abs(nt.m)), _sgn(nt.m)
     head = "A" if sgn_m * signs[0] == -1 else ""
     steps = map(_AB_STEP.__getitem__, zip(signs, signs[1:]))
     last = "B" if signs[-1] == 1 else "BB"

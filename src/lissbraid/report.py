@@ -120,6 +120,3 @@ def collision_report_dict(m: int, n: int, nt: NormalizedType) -> dict:
         "normalized": nt.to_json_dict(),
         "collision_free": False,
     }
-
-
-__all__ = ["Report", "build_report", "collision_report_dict"]

@@ -15,45 +15,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .algebra import Psl2Mat
-from .errors import BorderHit, OnBorder, Unstable
+from .errors import BorderHit, Unstable
 from .lissajous import NormalizedType, _check_collision_free
 from .surd import far_endpoint, fixed_points
 
 RHO = cmath.exp(1j * math.pi / 3)
 
 DEFAULT_RATIO = 0.05
-BORDER_TOL = 1e-12          # region borders and the equator
 CROSSING_GUARD = 1e-9       # min distance of a crossing from a collision point
 EQ_PERIOD_TOL = 1e-9        # psi(t + 1/3) = omega psi(t) check
 COLLISION_EPS = 1e-6        # refined minimum below this means collision
 SEPARATION_EPS = 1e-3       # refined minimum above this means collision-free
 
 _THIRD = 2 * math.pi / 3
-
-
-@dataclass(frozen=True)
-class ShapeSample:
-    t: float
-    psi: complex
-
-
-@dataclass(frozen=True)
-class Region:
-    """One of the six regions: hemisphere sign and angular third.
-
-    label is I/II/III plus '-' (outside the unit circle) or '+' (inside);
-    the third k covers angles (2 pi k/3, 2 pi (k+1)/3), whose borders
-    pass through the collision points 1, omega, omega^2.
-    """
-
-    label: str
-    hemisphere: str
-    third: int
 
 
 def start_offset(nt: NormalizedType) -> float:
@@ -69,16 +47,6 @@ def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     osc = np.exp(6j * math.pi * nt.ell * ts)
     return RHO * np.exp(-4j * math.pi * nt.m * ts) * (1 + 1j * ratio * osc) / (1 + 1j * ratio / osc)
-
-
-def sample_curve(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000) -> list[ShapeSample]:
-    """steps samples of the shape curve over one third of a period."""
-    import numpy as np
-    _check_collision_free(nt)
-    delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
-    psis = psi_values(nt, ratio, ts)
-    return [ShapeSample(float(t), complex(p)) for t, p in zip(ts, psis)]
 
 
 def epsilon_oracle(nt: NormalizedType) -> tuple[int, ...]:
@@ -132,7 +100,9 @@ def collision_scan(m: int, n: int) -> float:
     if gcd(m, n) != 1:
         raise ValueError(f"gcd{(m, n)} != 1")
     steps = max(2048, 512 * max(abs(m), abs(n)))
-    ts = np.linspace(0.0, 1.0, steps, endpoint=False)
+    # collision times are rationals, which an unshifted grid hits; a shift by
+    # an irrational fraction of a cell leaves the minimum's last digits to the zoom
+    ts = (np.arange(steps) + (math.sqrt(5) - 1) / 2) / steps
     dist = _pairwise_min(m, n, ts)
     i = int(np.argmin(dist))
     best = float(dist[i])
@@ -146,35 +116,24 @@ def collision_scan(m: int, n: int) -> float:
     return best
 
 
-def region_of(psi: complex, tol: float = BORDER_TOL) -> Region:
-    """Region of a point off the equator and off the border rays."""
-    r = abs(psi)
-    if abs(r - 1.0) < tol or r == 0.0:
-        raise OnBorder(f"|psi| = {r} is on the equator (tol {tol})")
-    theta = cmath.phase(psi) % (2 * math.pi)
-    k = int(theta // _THIRD)
-    if min(theta - k * _THIRD, (k + 1) * _THIRD - theta) < tol:
-        raise OnBorder(f"arg(psi) = {theta} lies on a border ray (tol {tol})")
-    k = min(k, 2)
-    hemi = "-" if r > 1.0 else "+"
-    return Region(label=("I", "II", "III")[k] + hemi, hemisphere=hemi, third=k)
-
-
 def region_itinerary(nt: NormalizedType) -> list[str]:
-    """Regions visited over one third of a period (30000 samples),
-    duplicates compressed.
-
-    Samples on or too near a border are skipped.
-    """
-    labels: list[str] = []
-    for sample in sample_curve(nt, DEFAULT_RATIO, 30000):
-        try:
-            label = region_of(sample.psi, tol=1e-7).label
-        except OnBorder:
-            continue
-        if not labels or labels[-1] != label:
-            labels.append(label)
-    return labels
+    """Regions visited over one third of a period (30000 samples), repeats
+    compressed: the thirds I, II, III of the angle, whose borders pass
+    through the collision points 1, omega, omega^2, with '-' outside the
+    equator and '+' inside.  Samples within 1e-7 of the equator or of a
+    border ray, and samples at psi = 0, are skipped."""
+    import numpy as np
+    _check_collision_free(nt)
+    delta = start_offset(nt)
+    psi = psi_values(nt, DEFAULT_RATIO, np.linspace(delta, 1.0 / 3.0 + delta, 30000))
+    r = np.abs(psi)
+    theta = np.angle(psi) % (2 * math.pi)
+    k = theta // _THIRD
+    keep = ((np.abs(r - 1.0) >= 1e-7) & (r != 0.0)
+            & (np.minimum(theta - k * _THIRD, (k + 1) * _THIRD - theta) >= 1e-7))
+    codes = 2 * k[keep].astype(int) + (r[keep] < 1.0)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return [("I", "II", "III")[c // 2] + "-+"[c % 2] for c in codes.tolist()]
 
 
 def _crossings(nt: NormalizedType, ratio: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,11 +253,15 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
 def csv_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000,
               path: str = "shape.csv") -> str:
     """CSV of one third of a period: header t,re_psi,im_psi, 12 significant digits."""
-    samples = sample_curve(nt, ratio, steps)
+    import numpy as np
+    _check_collision_free(nt)
+    delta = start_offset(nt)
+    ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
+    psis = psi_values(nt, ratio, ts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,re_psi,im_psi\n")
-        for s in samples:
-            fh.write(f"{s.t:.12g},{s.psi.real:.12g},{s.psi.imag:.12g}\n")
+        fh.writelines(f"{t:.12g},{z.real:.12g},{z.imag:.12g}\n"
+                      for t, z in zip(ts.tolist(), psis.tolist()))
     return path
 
 

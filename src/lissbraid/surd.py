@@ -96,10 +96,6 @@ class QuadSurd:
         root = Fraction(isqrt(self.D << 128), 1 << 64)
         return float((self.P + root) / self.Q)
 
-    def conjugate(self) -> "QuadSurd":
-        """The Galois conjugate (P - sqrt(D)) / Q."""
-        return QuadSurd(-self.P, -self.Q, self.D)
-
     def floor(self) -> int:
         return _floor_surd(self.P, self.Q, isqrt(self.D))
 
@@ -138,9 +134,6 @@ class QuadSurd:
             return head if q == 1 else f"{head}/{q}"
         body = f"{p}{sign}{root}"
         return body if q == 1 else f"({body})/{q}"
-
-    def __repr__(self) -> str:
-        return f"QuadSurd(P={self.P}, Q={self.Q}, D={self.D})"
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def suite_epsilon(max_m: int = 30, nonprimitive_max: int = 15, **_) -> list[Case
     out: list[Case] = []
     for m, n in types:
         nt = normalize(m, n)
-        exact = epsilon_seq(nt).bits
+        exact = epsilon_seq(nt)
         numeric = epsilon_oracle(nt)
         out.append((f"epsilon ({m},{n})", numeric == exact, f"{len(exact)} bits"))
     return out

@@ -5,7 +5,6 @@ import pytest
 from lissbraid.algebra import frieze_w
 from lissbraid.classify import (
     LevelSlope,
-    class_equal,
     clusters_of,
     enumerate_labels,
     enumerate_p0,
@@ -13,7 +12,7 @@ from lissbraid.classify import (
     radii_of,
     type_of,
 )
-from lissbraid.errors import CollisionType, InvalidLabel, NotPrimitive
+from lissbraid.errors import InvalidLabel, NotPrimitive
 from lissbraid.lissajous import build_H, normalize
 from lissbraid.surd import CfExpansion, cf_expand, far_endpoint
 
@@ -79,15 +78,6 @@ def test_cluster_junction_rule():
         for r in cs.radii[:-1]:
             pos += 2 * r - 1
             assert (cs.letters[pos - 1], cs.letters[pos]) in pairs
-
-
-def test_class_equal_examples():
-    assert class_equal((1, 4), (-2, -5))
-    assert not class_equal((4, -5), (1, -2))
-    for mn in [(4, -5), (1, 4), (-8, 13)]:
-        assert class_equal(mn, mn[::-1])
-    with pytest.raises(CollisionType):
-        class_equal((4, -5), (-5, 7))
 
 
 def test_enumerate_p0_examples():

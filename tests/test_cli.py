@@ -272,6 +272,17 @@ def test_plot_rejects_max_denominator_below_one(tmp_path, capsys, max_denominato
     assert err.startswith("error:") and "--max-denominator" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_denominator", ["101", "1000"])
+def test_plot_rejects_max_denominator_above_100(tmp_path, capsys, max_denominator):
+    # the Farey edge count grows like N^2, so the bound caps the figure's cost
+    out_path = tmp_path / "h.svg"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--kind", "halfplane",
+                         "--max-denominator", max_denominator, "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--max-denominator" in err and len(err.splitlines()) == 1
+
+
 def test_plot_rejects_csv_halfplane(tmp_path, capsys):
     out_path = tmp_path / "h.csv"
     code, out, err = run(capsys, "plot", "--type", "4,-5", "--kind", "halfplane",

@@ -7,6 +7,7 @@ from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
     NormalizedType,
+    _signs,
     build_H,
     build_W,
     epsilon_seq,
@@ -40,20 +41,20 @@ def test_collision_free_examples():
 
 
 def test_epsilon_seq_examples():
-    e = epsilon_seq(NormalizedType(1, -2, 1))
-    assert e.bits == (0, 1) and e.signs == (-1, 1)
-    e = epsilon_seq(NormalizedType(-2, 1, -1))
-    assert e.bits == (0, 0, 1, 1) and e.signs == (-1, -1, 1, 1)
-    e = epsilon_seq(NormalizedType(-11, 16, -9))
-    assert e.bit_string() == "0100101001010110101101"
+    nt = NormalizedType(1, -2, 1)
+    assert epsilon_seq(nt) == (0, 1) and _signs(nt, 2) == (-1, 1)
+    nt = NormalizedType(-2, 1, -1)
+    assert epsilon_seq(nt) == (0, 0, 1, 1) and _signs(nt, 4) == (-1, -1, 1, 1)
+    bits = epsilon_seq(NormalizedType(-11, 16, -9))
+    assert "".join(map(str, bits)) == "0100101001010110101101"
 
 
 def test_epsilon_seq_sign_rule():
     # signs[k] = sgn(m*ell) * (2 bits[k] - 1), for either sign of m*ell
     for nt in (NormalizedType(-2, 1, -1), NormalizedType(4, -5, 3)):
-        e = epsilon_seq(nt)
         s = 1 if nt.m * nt.ell > 0 else -1
-        assert all(sig == s * (2 * b - 1) for b, sig in zip(e.bits, e.signs))
+        signs = _signs(nt, 2 * abs(nt.m))
+        assert signs == tuple(s * (2 * b - 1) for b in epsilon_seq(nt))
 
 
 def test_epsilon_seq_collision_rejected():
@@ -64,7 +65,7 @@ def test_epsilon_seq_collision_rejected():
 def test_epsilon_double_palindromicity_small():
     for m, n in enumerate_p0(40):
         nt = normalize(m, n)
-        bits = epsilon_seq(nt).bits
+        bits = epsilon_seq(nt)
         am = abs(m)
         for k in range(1, am + 1):
             assert bits[k - 1] == bits[am - k]
@@ -106,7 +107,7 @@ def test_h_halves_compose_to_w():
 def test_word_anchors_beyond_primitive():
     # the half decomposition, S3 anchors and hyperbolicity hold for every
     # collision-free normalized type, not only the primitive family
-    from lissbraid.algebra import CYCLE_123, CYCLE_132, s3_image, trace_class
+    from lissbraid.algebra import s3_image, trace_class
 
     for m in range(-13, 14):
         for n in range(-27, 28):
@@ -119,8 +120,8 @@ def test_word_anchors_beyond_primitive():
             assert h == h[::-1] and len(h) % 2 == 1
             w, mat = frieze_w(h)
             assert w == ab_to_frieze(build_W(nt))
-            assert s3_image(h) == CYCLE_123
-            assert s3_image(w) == CYCLE_132
+            assert s3_image(h) == 1  # (123)
+            assert s3_image(w) == 2  # (132)
             assert trace_class(mat) == "hyperbolic"
 
 
@@ -150,10 +151,12 @@ def test_reduce_to_p0_lands_in_p0():
                 continue
             m0, n0 = reduce_to_p0(NormalizedType(m, n, (m - n) // 3))
             assert is_primitive(m0, n0)
+    with pytest.raises(CollisionType):
+        reduce_to_p0(normalize(-5, 7))
 
 
 def test_reciprocity():
-    for m, n in [(4, -5), (1, 4), (-2, -5), (7, -20), (-5, 16), (10, -17)]:
+    for m, n in [(4, -5), (1, 4), (-2, -5), (7, -20), (-5, 16), (10, -17), (-8, 13)]:
         nt, tn = normalize(m, n), normalize(n, m)
         assert reduce_to_p0(nt) == reduce_to_p0(tn)
 
@@ -200,7 +203,7 @@ def test_is_primitive_examples():
 # --- the per-letter kernels, kept as the reference ---------------------------
 
 def _signs_by_loop(nt):
-    """Reference: epsilon_seq's per-index bits and signs over 2|m|."""
+    """Reference: epsilon_seq's bits and _signs's signs over 2|m|, per index."""
     am, al = abs(nt.m), abs(nt.ell)
     bits = tuple(((2 * al * k - al) // (2 * am)) % 2 for k in range(1, 2 * am + 1))
     s = 1 if nt.m * nt.ell > 0 else -1
@@ -243,8 +246,7 @@ def test_word_kernels_equal_per_letter_loops():
     assert len(types) > 500 and sum(not is_primitive(t.m, t.n) for t in types) > 400
     for nt in types:
         bits, signs = _signs_by_loop(nt)
-        eps = epsilon_seq(nt)
-        assert (eps.bits, eps.signs) == (bits, signs), nt
+        assert epsilon_seq(nt) == bits and _signs(nt, 2 * abs(nt.m)) == signs, nt
         sgn_m = 1 if nt.m > 0 else -1
         h_word = _ab_by_loop(signs[:abs(nt.m)], sgn_m, True)
         w_word = build_W(nt)

@@ -10,9 +10,10 @@ import pytest
 from lissbraid import shapetrace
 from lissbraid.algebra import Psl2Mat
 from lissbraid.classify import enumerate_p0, level_slope_of
-from lissbraid.errors import CollisionType, OnBorder
+from lissbraid.errors import CollisionType
 from lissbraid.lissajous import epsilon_seq, is_collision_free, normalize
 from lissbraid.shapetrace import (
+    COLLISION_EPS,
     EQ_PERIOD_TOL,
     RHO,
     SEPARATION_EPS,
@@ -23,8 +24,6 @@ from lissbraid.shapetrace import (
     periodicity_defect,
     psi_values,
     region_itinerary,
-    region_of,
-    sample_curve,
     start_offset,
     svg_halfplane,
     svg_shape,
@@ -38,10 +37,6 @@ def test_curve_endpoints():
     # psi(0) = rho exactly, psi(1/3) = -1 exactly (the offset only nudges t)
     assert abs(complex(psi_values(nt, 0.05, np.array([0.0]))[0]) - RHO) < 1e-12
     assert abs(complex(psi_values(nt, 0.05, np.array([1 / 3]))[0]) + 1.0) < 1e-9
-    # sampled ends sit at the offset times delta and 1/3 + delta
-    samples = sample_curve(nt, steps=500)
-    assert abs(samples[0].psi - RHO) < 0.05
-    assert abs(samples[-1].psi + 1.0) < 0.05
 
 
 def test_equator_times():
@@ -66,20 +61,20 @@ def test_epsilon_oracle_examples(mn, expected):
 
 def test_epsilon_oracle_22_bits():
     nt = normalize(-11, 16)
-    assert epsilon_oracle(nt) == epsilon_seq(nt).bits
+    assert epsilon_oracle(nt) == epsilon_seq(nt)
 
 
 def test_epsilon_oracle_matches_formula():
     for m, n in enumerate_p0(20):
         nt = normalize(m, n)
-        assert epsilon_oracle(nt) == epsilon_seq(nt).bits
+        assert epsilon_oracle(nt) == epsilon_seq(nt)
 
 
 def test_epsilon_oracle_nonprimitive_types():
     # normalized collision-free types outside the primitive family
     for m, n in [(1, 4), (-2, -5), (7, -2), (4, 19), (-8, 1), (13, -32)]:
         nt = normalize(m, n)
-        assert epsilon_oracle(nt) == epsilon_seq(nt).bits
+        assert epsilon_oracle(nt) == epsilon_seq(nt)
 
 
 def test_collision_scan_examples():
@@ -100,9 +95,9 @@ def test_collision_scan_converges(monkeypatch):
         assert (minimum > SEPARATION_EPS) == is_collision_free(m, n), (m, n)
         if not is_collision_free(m, n):
             assert minimum < 1e-12, (m, n, minimum)
-    # these collisions fall on the coarse grid, so shift time off it: a
-    # minimum at float noise, not merely below COLLISION_EPS, then shows
-    # that the refinement ran to the end
+    # a second time shift moves the coarse grid to other points: a minimum
+    # at float noise, not merely below COLLISION_EPS, again shows that the
+    # refinement ran to the end
     pairwise_min = shapetrace._pairwise_min
     monkeypatch.setattr(shapetrace, "_pairwise_min",
                         lambda m, n, ts: pairwise_min(m, n, ts + math.pi * 1e-5))
@@ -111,20 +106,43 @@ def test_collision_scan_converges(monkeypatch):
             assert collision_scan(m, n) < 1e-12, (m, n)
 
 
-def test_region_of_examples():
-    assert region_of(1.5 * cmath.exp(0.3j)).label == "I-"
-    assert region_of(0.5 * cmath.exp(0.3j)).label == "I+"
-    assert region_of(1.5 * cmath.exp(1j * (0.3 + 2 * math.pi / 3))).label == "II-"
-    assert region_of(0.5 * cmath.exp(1j * (0.3 + 4 * math.pi / 3))).label == "III+"
+def test_collision_scan_zoom_finds_what_the_grid_misses(monkeypatch):
+    # the coarse grid alone stays above COLLISION_EPS on every collision
+    # type of the collision suite's box, so the suite's verdict rests on the zoom
+    coarse = []
+    pairwise_min = shapetrace._pairwise_min
+
+    def recording(m, n, ts):
+        dist = pairwise_min(m, n, ts)
+        if len(ts) > 33:
+            coarse.append(float(dist.min()))
+        return dist
+
+    monkeypatch.setattr(shapetrace, "_pairwise_min", recording)
+    pairs = [(m, n) for m in range(1, 11) for n in range(-10, 11)
+             if n != 0 and gcd(m, n) == 1 and (m * n) % 3 != 0 and not is_collision_free(m, n)]
+    assert len(pairs) == 14
+    for m, n in pairs:
+        assert collision_scan(m, n) < COLLISION_EPS, (m, n)
+        assert coarse.pop() > COLLISION_EPS, (m, n)
 
 
-def test_region_of_borders():
-    with pytest.raises(OnBorder):
-        region_of(cmath.exp(0.4j))          # on the equator
-    with pytest.raises(OnBorder):
-        region_of(1.5 + 0j)                  # on the ray through 1
-    with pytest.raises(OnBorder):
-        region_of(1.5 * cmath.exp(2j * math.pi / 3))
+def test_region_itinerary_labels_and_borders(monkeypatch):
+    points = [
+        1.5 * cmath.exp(0.3j),                       # I-
+        cmath.exp(0.4j),                             # on the equator: skipped
+        0.5 * cmath.exp(0.3j),                       # I+
+        1.5 + 0j,                                    # on the ray through 1: skipped
+        (1 + 1e-9) * cmath.exp(0.35j),               # within 1e-7 of the equator: skipped
+        complex(-0.0, -0.0),                         # psi = 0, at angle pi: skipped
+        0.5 * cmath.exp(0.2j),                       # I+ again: compressed
+        1.5 * cmath.exp(1j * (2 * math.pi / 3 - 1e-9)),  # within 1e-7 of a ray: skipped
+        1.5 * cmath.exp(1j * (0.3 + 2 * math.pi / 3)),  # II-
+        1.5 * cmath.exp(2j * math.pi / 3),           # on the ray through omega: skipped
+        0.5 * cmath.exp(1j * (0.3 + 4 * math.pi / 3)),  # III+
+    ]
+    monkeypatch.setattr(shapetrace, "psi_values", lambda nt, ratio, ts: np.array(points))
+    assert region_itinerary(normalize(4, -5)) == ["I-", "I+", "II-", "III+"]
 
 
 def test_region_itineraries():
@@ -168,9 +186,12 @@ def test_syzygy_oracle_matches_symbolic():
         assert numeric == symbolic, (m, n)
 
 
-def test_sample_curve_rejects_collision_types():
+def test_float_oracles_reject_collision_types(tmp_path):
     with pytest.raises(CollisionType):
-        sample_curve(normalize(-5, 7))
+        region_itinerary(normalize(-5, 7))
+    with pytest.raises(CollisionType):
+        csv_shape(normalize(-5, 7), path=str(tmp_path / "c.csv"))
+    assert not (tmp_path / "c.csv").exists()
 
 
 def _polyline_points(path):
@@ -212,7 +233,11 @@ def test_csv_shape(tmp_path):
     assert len(lines) == 101
     t, re, im = map(float, lines[1].split(","))
     assert abs(t - start_offset(nt)) < 1e-15
-    assert abs(complex(re, im)) > 0
+    # the rows run from the offset time delta to 1/3 + delta
+    assert abs(complex(re, im) - RHO) < 0.05
+    t, re, im = map(float, lines[-1].split(","))
+    assert abs(t - 1 / 3 - start_offset(nt)) < 1e-11
+    assert abs(complex(re, im) + 1.0) < 0.05
 
 
 def _farey_brute(x0, x1, max_denominator):

@@ -1,5 +1,6 @@
 import ast
 import doctest
+import importlib
 import os
 import pathlib
 import subprocess
@@ -44,3 +45,21 @@ def test_numpy_is_loaded_only_by_the_float_code():
         "epsilon_oracle(normalize(4, -5))\n"
         "print('numpy' in sys.modules)\n"
     ) == ["False", "0", "False", "True"]
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark's span tracer patches each target without a default,
+    # so a target removed from the package would crash a traced run
+    # (run from its source text, so no bytecode is written under perfbench/)
+    path = SRC.parent.parent / "perfbench" / "bench_trace.py"
+    bench_trace = {"__name__": "bench_trace"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), bench_trace)
+    assert bench_trace["TARGETS"]
+    missing = []
+    for name, modname, attr, _ in bench_trace["TARGETS"]:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert not missing, missing

@@ -184,7 +184,7 @@ def test_difference_seq_conjugate_to_christoffel():
 def test_difference_seq_is_eps_increment():
     for m, n in enumerate_p0(50):
         nt = normalize(m, n)
-        bits = epsilon_seq(nt).bits
+        bits = epsilon_seq(nt)
         delta = difference_seq(abs(nt.m), abs(nt.ell))
         am = abs(nt.m)
         for k in range(2 * am - 1):
