@@ -127,22 +127,33 @@ def test_collision_scan_zoom_finds_what_the_grid_misses(monkeypatch):
         assert coarse.pop() > COLLISION_EPS, (m, n)
 
 
-def test_region_itinerary_labels_and_borders(monkeypatch):
+def test_region_of_examples(monkeypatch):
     points = [
         1.5 * cmath.exp(0.3j),                       # I-
-        cmath.exp(0.4j),                             # on the equator: skipped
         0.5 * cmath.exp(0.3j),                       # I+
-        1.5 + 0j,                                    # on the ray through 1: skipped
-        (1 + 1e-9) * cmath.exp(0.35j),               # within 1e-7 of the equator: skipped
-        complex(-0.0, -0.0),                         # psi = 0, at angle pi: skipped
         0.5 * cmath.exp(0.2j),                       # I+ again: compressed
-        1.5 * cmath.exp(1j * (2 * math.pi / 3 - 1e-9)),  # within 1e-7 of a ray: skipped
         1.5 * cmath.exp(1j * (0.3 + 2 * math.pi / 3)),  # II-
-        1.5 * cmath.exp(2j * math.pi / 3),           # on the ray through omega: skipped
         0.5 * cmath.exp(1j * (0.3 + 4 * math.pi / 3)),  # III+
     ]
     monkeypatch.setattr(shapetrace, "psi_values", lambda nt, ratio, ts: np.array(points))
     assert region_itinerary(normalize(4, -5)) == ["I-", "I+", "II-", "III+"]
+
+
+def test_region_of_borders(monkeypatch):
+    borders = [
+        cmath.exp(0.4j),                             # on the equator
+        1.5 + 0j,                                    # on the ray through 1
+        (1 + 1e-9) * cmath.exp(0.35j),               # within 1e-7 of the equator
+        complex(-0.0, -0.0),                         # psi = 0, at angle pi
+        1.5 * cmath.exp(1j * (2 * math.pi / 3 - 1e-9)),  # within 1e-7 of a ray
+        1.5 * cmath.exp(2j * math.pi / 3),           # on the ray through omega
+    ]
+    monkeypatch.setattr(shapetrace, "psi_values", lambda nt, ratio, ts: np.array(borders))
+    assert region_itinerary(normalize(4, -5)) == []
+    # border samples between two samples of I+ leave them compressed into one
+    points = [0.5 * cmath.exp(0.3j)] + borders + [0.5 * cmath.exp(0.2j)]
+    monkeypatch.setattr(shapetrace, "psi_values", lambda nt, ratio, ts: np.array(points))
+    assert region_itinerary(normalize(4, -5)) == ["I+"]
 
 
 def test_region_itineraries():
