@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 usage/input error (including an empty verify
-selection, a verify bound the suite does not take and files plot
-cannot write), 2 collision type (classify only), 3 verification failure.
+Exit codes: 0 ok, 1 usage/input error (including an empty verify or
+enumerate selection, a verify bound the suite does not take, plot steps
+or syzygy periods above their caps and files plot cannot write), 2
+collision type (classify only), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from .report import Report, build_report, collision_report_dict
 from .shapetrace import csv_shape, svg_halfplane, svg_shape
 from .syzygy import omega, syzygy_sequence
 from .verify import SUITES
+
+# caps on what one command builds, so that a huge request is an input
+# error rather than a MemoryError; 10**6 plot steps write a 14 MB SVG
+_MAX_STEPS = 10**6
+_MAX_PERIODS = 1000
 
 
 def _parse_type(text: str) -> tuple[int, int]:
@@ -75,8 +81,8 @@ def cmd_cf(args) -> int:
 
 def cmd_syzygy(args) -> int:
     m, n = _parse_type(args.type)
-    if args.periods < 1:
-        raise LissbraidError(f"--periods must be >= 1, got {args.periods}")
+    if not 1 <= args.periods <= _MAX_PERIODS:
+        raise LissbraidError(f"--periods must lie in [1, {_MAX_PERIODS}], got {args.periods}")
     p0 = reduce_to_p0(normalize(m, n))
     om = omega(level_slope_of(*p0))
     seq = syzygy_sequence(*p0, periods=args.periods)
@@ -95,8 +101,8 @@ def cmd_plot(args) -> int:
     m, n = _parse_type(args.type)
     if not 0 < args.ratio < 1:
         raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
-    if args.steps < 2:
-        raise LissbraidError(f"--steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= _MAX_STEPS:
+        raise LissbraidError(f"--steps must lie in [2, {_MAX_STEPS}], got {args.steps}")
     if not 1 <= args.max_denominator <= 100:
         raise LissbraidError(f"--max-denominator must lie in [1, 100], got {args.max_denominator}")
     if args.kind == "halfplane" and args.format == "csv":
@@ -118,15 +124,17 @@ def cmd_plot(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.max_m is not None:
-        for m, n in enumerate_p0(args.max_m):
-            label = level_slope_of(m, n)
-            print(json.dumps({"m": m, "n": n, "level": label.level, "slope": label.slope_str}))
+        rows = [{"m": m, "n": n, **level_slope_of(m, n).to_json_dict()}
+                for m, n in enumerate_p0(args.max_m)]
     elif args.max_sum is not None:
-        for label in enumerate_labels(args.max_sum, args.max_level):
-            m, n = type_of(label)
-            print(json.dumps({"level": label.level, "slope": label.slope_str, "m": m, "n": n}))
+        rows = [{**label.to_json_dict(), **dict(zip("mn", type_of(label)))}
+                for label in enumerate_labels(args.max_sum, args.max_level)]
     else:
         raise LissbraidError("enumerate wants --max-m or --max-sum")
+    if not rows:
+        raise LissbraidError("the bounds select no types")
+    for row in rows:
+        print(json.dumps(row))
     return 0
 
 

@@ -21,7 +21,7 @@ from math import gcd
 from .algebra import Psl2Mat
 from .errors import BorderHit, Unstable
 from .lissajous import NormalizedType, _check_collision_free
-from .surd import far_endpoint, fixed_points
+from .surd import fixed_points
 
 RHO = cmath.exp(1j * math.pi / 3)
 
@@ -289,9 +289,7 @@ def farey_edges(x0: int, x1: int, max_denominator: int) -> list[tuple[Fraction, 
 def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane.svg") -> str:
     """Upper-half-plane figure: Farey tessellation (uncolored) and the axis
     of a hyperbolic matrix between its two fixed points."""
-    far = far_endpoint(mat)
-    near = [fp for fp in fixed_points(mat) if fp != far][0]
-    e0, e1 = sorted((far.approx(), near.approx()))
+    e0, e1 = sorted(fp.approx() for fp in fixed_points(mat))
     x0, x1 = math.floor(e0) - 1, math.ceil(e1) + 1
     width = x1 - x0
     scale = (_SVG_SIZE - 100) / width

@@ -2,13 +2,15 @@
 
 A surd is (P + sqrt(D)) / Q with integer P, Q != 0 and nonsquare D > 0,
 kept in the classical normalized form Q | D - P*P so the continued
-fraction recurrence stays in integers.
+fraction recurrence stays in integers.  Each value has one stored triple,
+read off its primitive minimal polynomial, so equal surds compare, hash
+and print alike; the printed d is free of the squares of primes up to
+1000 only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .algebra import Psl2Mat, trace_class
@@ -72,61 +74,51 @@ def _floor_surd(p: int, q: int, root: int) -> int:
 
 @dataclass(frozen=True)
 class QuadSurd:
-    """The real quadratic irrational (P + sqrt(D)) / Q."""
+    """The real quadratic irrational (P + sqrt(D)) / Q, stored as its one
+    canonical triple: (-b, 2a, b^2 - 4ac) for the primitive minimal
+    polynomial a x^2 + b x + c, with the sign of a picking the root.  So
+    equal values have equal fields, and the dataclass's own == and hash
+    are exact."""
 
     P: int
     Q: int
     D: int
 
     def __post_init__(self):
-        if self.Q == 0:
+        p, q, d = self.P, self.Q, self.D
+        if q == 0:
             raise ValueError("Q must be nonzero")
-        if self.D <= 0 or _is_square(self.D):
-            raise ValueError(f"D must be a positive nonsquare, got {self.D}")
-        if (self.D - self.P * self.P) % self.Q != 0:
-            # scale P, Q by |Q| and D by Q^2 to restore divisibility
-            q = abs(self.Q)
-            object.__setattr__(self, "P", self.P * q)
-            object.__setattr__(self, "D", self.D * q * q)
-            object.__setattr__(self, "Q", self.Q * q)
+        if d <= 0 or _is_square(d):
+            raise ValueError(f"D must be a positive nonsquare, got {d}")
+        r, rem = divmod(p * p - d, q)
+        if rem:
+            # scale P, Q by |Q| and D by Q^2 to restore Q | D - P^2
+            r = p * p - d if q > 0 else d - p * p
+            p, q, d = p * abs(q), q * abs(q), d * q * q
+        # the value is a root of q x^2 - 2p x + r; divide out its content
+        g = gcd(q, 2 * p, r)
+        object.__setattr__(self, "P", 2 * p // g)
+        object.__setattr__(self, "Q", 2 * q // g)
+        object.__setattr__(self, "D", 4 * d // (g * g))
 
     def approx(self) -> float:
-        # sqrt via a 64-bit-shifted integer root so huge D (beyond float
-        # range) still yields a correctly rounded quotient
-        root = Fraction(isqrt(self.D << 128), 1 << 64)
-        return float((self.P + root) / self.Q)
+        # sqrt via a 64-bit-shifted integer root; int / int rounds correctly
+        # and raises OverflowError only when the quotient leaves float range
+        return ((self.P << 64) + isqrt(self.D << 128)) / (self.Q << 64)
 
     def floor(self) -> int:
         return _floor_surd(self.P, self.Q, isqrt(self.D))
 
-    def _key(self) -> tuple[Fraction, Fraction, bool]:
-        """Rational part, square and sign of the irrational part: sqrt(D) is
-        irrational, so equal keys mean equal values, without any factoring."""
-        return (Fraction(self.P, self.Q), Fraction(self.D, self.Q * self.Q), self.Q > 0)
-
-    def _display(self) -> tuple[int, int, int, int]:
-        """(P, c, d, Q) with value (P + c*sqrt(d))/Q, Q > 0, gcd(P,c,Q) = 1."""
+    def __str__(self) -> str:
+        """(P + c√d)/Q in lowest terms, with c√d = √D and d free of the
+        squares of primes up to 1000.  The triple is canonical, so equal
+        surds print the same way."""
         c, d = _split_square(self.D)
         p, q = self.P, self.Q
         if q < 0:
             p, c, q = -p, -c, -q
-        g = gcd(gcd(abs(p), abs(c)), q)
-        return (p // g, c // g, d, q // g)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadSurd):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __str__(self) -> str:
-        """(P + c√d)/Q in lowest terms, with c√d = √D.  Only the squares of
-        primes up to 1000 are moved out of D, so two equal surds whose D
-        differ by the square of a larger prime can print differently;
-        equality itself is exact."""
-        p, c, d, q = self._display()
+        g = gcd(p, c, q)
+        p, c, q = p // g, c // g, q // g
         root = f"{abs(c)}√{d}" if abs(c) != 1 else f"√{d}"
         sign = "+" if c > 0 else "-"
         if p == 0:

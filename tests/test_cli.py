@@ -111,11 +111,12 @@ def test_syzygy_command_grouped(capsys):
 
 
 def test_syzygy_command_rejects_zero_periods(capsys):
-    code, out, err = run(capsys, "syzygy", "--type", "4,-5", "--periods", "0")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "--periods" in err
-    assert "Traceback" not in err
+    # and more than 1000 periods, which could exhaust memory
+    for periods in ("0", "1001"):
+        code, out, err = run(capsys, "syzygy", "--type", "4,-5", "--periods", periods)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--periods" in err and len(err.splitlines()) == 1
 
 
 def test_syzygy_command_json(capsys):
@@ -169,8 +170,12 @@ def test_enumerate_labels(capsys):
 
 
 def test_enumerate_needs_a_bound(capsys):
-    code, _, _ = run(capsys, "enumerate")
-    assert code == 1
+    # bounds that select nothing are input errors too, as in verify
+    for bounds in ([], ["--max-m", "0"], ["--max-sum", "5", "--max-level", "0"]):
+        code, out, err = run(capsys, "enumerate", *bounds)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verify_suite_pass(capsys):
@@ -252,7 +257,8 @@ def test_plot_rejects_ratio_outside_unit_interval(tmp_path, capsys, ratio):
     assert err.startswith("error:") and "--ratio" in err
 
 
-@pytest.mark.parametrize("steps", ["-3", "0", "1"])
+# and more than 10**6 steps, which could exhaust memory
+@pytest.mark.parametrize("steps", ["-3", "0", "1", "1000001"])
 def test_plot_rejects_fewer_than_two_steps(tmp_path, capsys, steps):
     out_path = tmp_path / "s.csv"
     code, out, err = run(capsys, "plot", "--type", "4,-5", "--steps", steps,

@@ -57,7 +57,72 @@ def test_quadsurd_equality_across_forms():
     # both are 1009*sqrt(2); 1009 is a prime beyond any trial division bound
     x, y = QuadSurd(0, 1, 2 * 1009**2), QuadSurd(0, 1009, 2 * 1009**4)
     assert x == y and hash(x) == hash(y)
+    assert str(x) == str(y) == "√2036162"
     assert QuadSurd(1, 1, 2 * 1009**2) != x  # same irrational part, other rational part
+
+
+def _fraction_key(x):
+    """Reference equality key: rational part, square and sign of the
+    irrational part.  sqrt(D) is irrational, so equal keys mean equal values."""
+    return (Fraction(x.P, x.Q), Fraction(x.D, x.Q * x.Q), x.Q > 0)
+
+
+def _fraction_approx(x):
+    """Reference approx: the same 64-bit-shifted root, rounded through Fraction."""
+    try:
+        return float((x.P + Fraction(math.isqrt(x.D << 128), 1 << 64)) / x.Q)
+    except OverflowError:
+        return OverflowError
+
+
+def test_quadsurd_one_triple_per_value():
+    rng = random.Random(31)
+    groups = []
+    while len(groups) < 400:
+        p = rng.randrange(-10**6, 10**6)
+        q = rng.choice((-1, 1)) * rng.randrange(1, 10**4)
+        if rng.random() < 0.5:  # any triple, rescaled by the constructor
+            d = rng.randrange(2, 10**6)
+        else:  # already Q | D - P^2
+            d = p * p + q * rng.randrange(-10**4, 10**4)
+        d *= rng.choice((1, 4, 1009**2, 10007**2))
+        if d < 2 or math.isqrt(d) ** 2 == d:
+            continue
+        x = QuadSurd(p, q, d)
+        for k in (2, rng.randrange(3, 1010), rng.randrange(2, 10**20)):
+            y = QuadSurd(k * p, k * q, k * k * d)
+            assert (y.P, y.Q, y.D) == (x.P, x.Q, x.D), (p, q, d, k)
+            assert hash(y) == hash(x) and str(y) == str(x)
+        # the conjugate, a shifted rational part and an unscaled square
+        groups.append([x, QuadSurd(-p, -q, d), QuadSurd(p + q, q, d), QuadSurd(p, q, 4 * d),
+                       QuadSurd(2 * p, 2 * q, 4 * d)])
+    assert any(g[0].Q < 0 for g in groups)
+    pairs = [(u, v) for g in groups for u in g for v in g]
+    pairs += [(rng.choice(rng.choice(groups)), rng.choice(rng.choice(groups))) for _ in range(2000)]
+    assert sum(u == v for u, v in pairs) > 2000
+    for u, v in pairs:
+        assert (u == v) == (_fraction_key(u) == _fraction_key(v)), (u, v)
+        assert u != v or (hash(u) == hash(v) and str(u) == str(v))
+
+
+def test_quadsurd_approx_equals_fraction_rounding():
+    rng = random.Random(37)
+    surds = []
+    while len(surds) < 400:
+        p = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 5000))
+        q = rng.choice((-1, 1)) * max(1, rng.getrandbits(rng.randrange(1, 5000)))
+        d = p * p + q * rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 5000))
+        if d > 1 and math.isqrt(d) ** 2 != d:
+            surds.append(QuadSurd(p, q, d))
+    assert max(x.D.bit_length() for x in surds) > 9000
+    outcomes = []
+    for x in surds:
+        try:
+            outcomes.append(x.approx())
+        except OverflowError:
+            outcomes.append(OverflowError)
+        assert outcomes[-1] == _fraction_approx(x), x
+    assert 50 < outcomes.count(OverflowError) < 350
 
 
 def test_fixed_points_examples():
