@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 usage/input error (including an empty verify or
 enumerate selection, a verify bound the suite does not take, plot steps
-or syzygy periods above their caps and files plot cannot write), 2
+or syzygy periods above their caps, a syzygy output above 10**7 letters
+and files plot cannot write), 2
 collision type (classify only), 3 verification failure.
 """
 
@@ -26,6 +27,7 @@ from .verify import SUITES
 # error rather than a MemoryError; 10**6 plot steps write a 14 MB SVG
 _MAX_STEPS = 10**6
 _MAX_PERIODS = 1000
+_MAX_SYZYGY_LETTERS = 10**7
 
 
 def _parse_type(text: str) -> tuple[int, int]:
@@ -84,6 +86,11 @@ def cmd_syzygy(args) -> int:
     if not 1 <= args.periods <= _MAX_PERIODS:
         raise LissbraidError(f"--periods must lie in [1, {_MAX_PERIODS}], got {args.periods}")
     p0 = reduce_to_p0(normalize(m, n))
+    # 6 copies of omega per period; |omega| = p(2N-1) + q(2N+1) is |ell| of p0
+    letters = 6 * args.periods * abs(p0[0] - p0[1]) // 3
+    if letters > _MAX_SYZYGY_LETTERS:
+        raise LissbraidError(f"--periods {args.periods} asks for {letters} syzygy letters, "
+                             f"above the cap of {_MAX_SYZYGY_LETTERS}")
     om = omega(level_slope_of(*p0))
     seq = syzygy_sequence(*p0, periods=args.periods)
     if args.group:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import reduce_frieze
 from .errors import CollisionType, DivisibleByThree, InvariantError, NotCoprime
 
 
@@ -62,20 +61,25 @@ def _check_collision_free(nt: NormalizedType) -> None:
         raise CollisionType(f"type {(nt.m, nt.n)} has even ell = {nt.ell}")
 
 
-def _signs(nt: NormalizedType, count: int) -> tuple[int, ...]:
-    """The first count entries of the sign form of the epsilon sequence.
+def _bits(nt: NormalizedType, count: int):
+    """The sign s = sgn(m*ell) and the first count bits of the epsilon
+    sequence, as a lazy chain of C-level maps.
 
     bits[k] = floor(x / (2|m|)) mod 2 with x = |ell|(2k - 1), which is 1
-    exactly when x mod 4|m| >= 2|m|; the x form an arithmetic progression,
-    so the whole sequence is a chain of C-level maps.
+    exactly when x mod 4|m| >= 2|m|; the x form an arithmetic progression.
     """
     _check_collision_free(nt)
     am, al = abs(nt.m), abs(nt.ell)
     if gcd(am, al) != 1:
         raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
-    s = _sgn(nt.m * nt.ell)
     xs = range(al, al * (2 * count + 1), 2 * al)
-    return tuple(map((-s, s).__getitem__, map((2 * am).__le__, map((4 * am).__rmod__, xs))))
+    return _sgn(nt.m * nt.ell), map((2 * am).__le__, map((4 * am).__rmod__, xs))
+
+
+def _signs(nt: NormalizedType, count: int) -> tuple[int, ...]:
+    """The first count entries of the sign form s * (2*bits[k] - 1)."""
+    s, bits = _bits(nt, count)
+    return tuple(map((-s, s).__getitem__, bits))
 
 
 def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
@@ -85,8 +89,7 @@ def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
     Evaluated as floor((2|ell|k - |ell|) / (2|m|)) in exact integers;
     the argument is never an integer since |ell| is odd.
     """
-    s = _sgn(nt.m * nt.ell)
-    return tuple(int(e == s) for e in _signs(nt, 2 * abs(nt.m)))
+    return tuple(map(int, _bits(nt, 2 * abs(nt.m))[1]))
 
 
 # (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, with B^-1 written BB
@@ -108,8 +111,8 @@ def build_W(nt: NormalizedType) -> str:
     return "".join((head, *steps, last, tail))
 
 
-# sign e_i -> letter of B^{e_i}, keyed by sgn(m)
-_H_LETTER = {1: {1: "p", -1: "d"}, -1: {1: "q", -1: "b"}}
+# sgn(m) -> (letter x of B^{+1}, letter y of B^{-1}, x^2, y^2)
+_H_LETTERS = {1: ("p", "d", "b", "q"), -1: ("q", "b", "d", "p")}
 
 
 def build_H(nt: NormalizedType) -> str:
@@ -121,13 +124,33 @@ def build_H(nt: NormalizedType) -> str:
     the A's before B^{e_i} are the head A and one A per sign change, so
     their parity is [sgn(m) e_1 = -1] + [e_i != e_1] mod 2, which is
     [sgn(m) e_i = -1] for either e_1.  So each letter is fixed by its own
-    sign and sgn(m): p for +1 and d for -1 when m > 0, q for +1 and b for
-    -1 when m < 0.  The half of the epsilon sequence is a palindrome, so
-    e_{|m|} = e_1, the sign changes are even in number and the tail A
-    matches the head A: the A count is even, as the translation needs.
+    sign and sgn(m): x = p for +1 and y = d for -1 when m > 0, x = q for
+    +1 and y = b for -1 when m < 0.  The half of the epsilon sequence is
+    a palindrome, so e_{|m|} = e_1, the sign changes are even in number
+    and the tail A matches the head A: the A count is even, as the
+    translation needs.
+
+    The word over x, y is then reduced without a per-letter scan.  x and
+    y lie in different free factors and have order 3, so the group is
+    presented on this word by the rules xxx -> empty and yyy -> empty.
+    Both shorten the word, so every rewriting terminates; the only ways
+    two rule applications overlap are x^4 and y^4, and deleting either
+    cube of xxxx leaves x, alike.  So the system is locally confluent,
+    hence confluent (Newman's lemma), and deleting cubes in any order
+    reaches the same cube-free word; str.replace deletes disjoint cubes,
+    and the loop runs until none is left.  A cube-free word over x, y is
+    runs of length 1 or 2 that alternate between the factors, so merging
+    the squares (x^2 = b, y^2 = q for m > 0; d, p for m < 0) gives an
+    alternating word, which is the unique normal form of its element.
     """
-    table = _H_LETTER[_sgn(nt.m)]
-    return reduce_frieze("".join(map(table.__getitem__, _signs(nt, abs(nt.m)))))
+    x, y, xx, yy = _H_LETTERS[_sgn(nt.m)]
+    s, bits = _bits(nt, abs(nt.m))
+    low, high = (y, x) if s == 1 else (x, y)
+    word = bytes(bits).translate(bytes.maketrans(b"\0\1", (low + high).encode())).decode()
+    x3, y3 = x * 3, y * 3
+    while x3 in word or y3 in word:
+        word = word.replace(x3, "").replace(y3, "")
+    return word.replace(x + x, xx).replace(y + y, yy)
 
 
 def is_primitive(m: int, n: int) -> bool:

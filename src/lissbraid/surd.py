@@ -164,6 +164,15 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     With r = isqrt(D) and Q > 0 (which both conditions force), the value
     is > 1 iff r >= Q - P, and the conjugate is < 0 iff P <= r and > -1
     iff r < P + Q, since sqrt(D) is irrational.
+
+    The cycle runs on u = P + r in place of P.  Q > 0 there, so
+    a = floor(u / Q), and a >= 1 since the quotient is > 1, so u >= Q.
+    Hence with t = u - Q, a = 1 exactly when t < Q, and the remainder is
+    t; otherwise a - 1, t mod Q = divmod(t, Q).  The next state is
+    u' = P' + r = aQ - u + 2r = 2r - (u - aQ), 2r minus the remainder,
+    and P - P' = u - u', so Q' = Q_prev + a (u - u') needs no multiply
+    when a = 1.  (u, Q) determines (P, Q), so the cycle closes when
+    (u, Q) comes back.
     """
     p, q, d = x.P, x.Q, x.D
     q_prev, rem = divmod(d - p * p, q)
@@ -171,18 +180,30 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
         raise InvariantError(f"{x!r} violates Q | D - P^2")
     root = isqrt(d)
     terms: list[int] = []
-    start = -1  # index of the first reduced complete quotient, once seen
-    p0 = q0 = 0
-    while True:
-        if start < 0:
-            if 0 < q and p <= root < p + q and q - p <= root:
-                start, p0, q0 = len(terms), p, q
-        elif p == p0 and q == q0:
-            break
+    while not (0 < q and p <= root < p + q and q - p <= root):
         a = _floor_surd(p, q, root)
         terms.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
+    start, append, two_root = len(terms), terms.append, 2 * root
+    u0 = u = p + root
+    q0 = q
+    while True:
+        t = u - q
+        if t < q:
+            append(1)
+            u_next = two_root - t
+            q, q_prev = q_prev + (u - u_next), q
+        else:
+            a, t = divmod(t, q)
+            a += 1
+            append(a)
+            u_next = two_root - t
+            q, q_prev = q_prev + a * (u - u_next), q
+        u = u_next
+        if u == u0 and q == q0:
+            break
+    p = u - root
     if p * p + q * q_prev != d:
         raise InvariantError(f"continued fraction state {(p, q)} left P^2 + Q Q_prev = D")
     return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lissbraid.classify import level_slope_of
+from lissbraid import cli
 from lissbraid.cli import main
 from lissbraid.report import build_report
 from lissbraid.surd import cf_expand, far_endpoint
@@ -117,6 +118,24 @@ def test_syzygy_command_rejects_zero_periods(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "--periods" in err and len(err.splitlines()) == 1
+
+
+def test_syzygy_command_caps_its_output(capsys, monkeypatch):
+    # 6 * |omega| * periods = 6 * 100021 * 1000 letters: rejected before
+    # omega or the walk is built; one period of the same type still prints
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the cap was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "omega", fail)
+        patch.setattr(cli, "syzygy_sequence", fail)
+        code, out, err = run(capsys, "syzygy", "--type", "-100031,200032", "--periods", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "600126000" in err and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "syzygy", "--type", "-100031,200032", "--periods", "1")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines[0]) == len("omega:  ") + 100021 and len(lines[1]) == len("syzygy: ") + 600126
 
 
 def test_syzygy_command_json(capsys):

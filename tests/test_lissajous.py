@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -254,3 +255,38 @@ def test_word_kernels_equal_per_letter_loops():
         h = _frieze_by_parity_scan(h_word)
         assert ab_to_frieze(h_word) == h and build_H(nt) == h, nt
         assert ab_to_frieze(w_word) == _frieze_by_parity_scan(w_word), nt
+
+
+def _cube_rounds(signs):
+    """Passes of cube deletion that build_H makes on these signs."""
+    word, rounds = "".join("x" if e == 1 else "y" for e in signs), 0
+    while "xxx" in word or "yyy" in word:
+        word, rounds = word.replace("xxx", "").replace("yyy", ""), rounds + 1
+    return rounds
+
+
+def test_build_H_equals_parity_scan_on_large_types():
+    # non-primitive types reach H with cubes in the sign word; (2374, -389)
+    # takes three rounds of deletion
+    rng = random.Random(11)
+    types = [NormalizedType(2374, -389, 921)]
+    while len(types) < 60:
+        m, n = rng.randrange(-2999, 3000), rng.randrange(-59999, 60000)
+        if m and n and m % 3 == 1 and n % 3 == 1 and gcd(m, n) == 1 and ((m - n) // 3) % 2 \
+                and not is_primitive(m, n):
+            types.append(NormalizedType(m, n, (m - n) // 3))
+    rounds = []
+    for nt in types:
+        signs = _signs_by_loop(nt)[1][:abs(nt.m)]
+        rounds.append(_cube_rounds(signs))
+        h_word = _ab_by_loop(signs, 1 if nt.m > 0 else -1, True)
+        assert build_H(nt) == _frieze_by_parity_scan(h_word), nt
+    assert rounds[0] == 3 and rounds.count(0) > 5 and rounds.count(2) > 5
+
+
+def test_primitive_sign_words_have_no_cube():
+    # so on these types build_H's deletion loop never runs
+    types = list(enumerate_p0(200))
+    assert len(types) == 2042
+    for m, n in types:
+        assert _cube_rounds(_signs(normalize(m, n), abs(m))) == 0, (m, n)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lissbraid.algebra import Psl2Mat, frieze_w
-from lissbraid.classify import clusters_of, enumerate_p0, level_slope_of
+from lissbraid.classify import LevelSlope, clusters_of, enumerate_p0, level_slope_of, type_of
 from lissbraid.errors import InvariantError, NotHyperbolic
 from lissbraid.lissajous import build_H, normalize
 import lissbraid.surd as surd
@@ -286,6 +286,21 @@ def test_cf_expand_equals_division_loop_on_wide_surds():
     assert sum(1 for x in surds if cf_expand(x).preperiod) > 1400
     for x in surds:
         assert cf_expand(x) == _cf_by_division(x), x
+
+
+@pytest.mark.parametrize("label,terms", [
+    (LevelSlope(1, 1000, 1), {1, 3}),
+    (LevelSlope(50, 100, 1), {99, 101}),
+])
+def test_cf_expand_equals_division_loop_on_kilobit_endpoints(label, terms):
+    # the far endpoint is purely periodic; the near one has a preperiod;
+    # terms 1 take the unit step, the others the divmod step
+    _, mat = frieze_w(build_H(normalize(*type_of(label))))
+    assert mat.c.bit_length() > 1000
+    cfs = [cf_expand(x) for x in fixed_points(mat)]
+    assert cfs == [_cf_by_division(x) for x in fixed_points(mat)]
+    assert all(set(cf.period) == terms for cf in cfs)
+    assert sorted(bool(cf.preperiod) for cf in cfs) == [False, True]
 
 
 @pytest.mark.parametrize("surd,pre,period", [
