@@ -93,12 +93,6 @@ def type_of(label: LevelSlope) -> tuple[int, int]:
     return m, n
 
 
-def radii_of(label: LevelSlope) -> tuple[int, ...]:
-    """Cluster radii in {N, N+1}: varphi_N of the palindromic conjugate of
-    the Christoffel word of slope q/p."""
-    return varphi_n(label.level, palindromic_christoffel(label.p, label.q))
-
-
 def clusters_of(label: LevelSlope) -> ClusterSeq:
     """Cluster form of H for a label: radii and the word."""
     word = palindromic_christoffel(label.p, label.q)
@@ -109,7 +103,7 @@ def clusters_of(label: LevelSlope) -> ClusterSeq:
 
 
 def enumerate_p0(max_m: int) -> list[tuple[int, int]]:
-    """All primitive types with |m| <= max_m, sorted by (|m|, |n|)."""
+    """All primitive types with |m| <= max_m, in (|m|, |n|) order."""
     out = []
     for am in range(1, max_m + 1):
         if am % 3 == 0:
@@ -120,7 +114,7 @@ def enumerate_p0(max_m: int) -> list[tuple[int, int]]:
             if n % 3 != 1 or gcd(am, an) != 1 or (m - n) % 6 == 0:
                 continue
             out.append((m, n))
-    return sorted(out, key=lambda t: (abs(t[0]), abs(t[1])))
+    return out
 
 
 def enumerate_labels(max_sum: int, max_level: int) -> list[LevelSlope]:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 ok, 1 usage/input error (including an empty verify or
 enumerate selection, a verify bound the suite does not take, plot steps
-or syzygy periods above their caps, a syzygy output above 10**7 letters
-and files plot cannot write), 2
-collision type (classify only), 3 verification failure.
+or syzygy periods above their caps, a syzygy output or a report whose
+syzygy word is above 10**7 letters, --max-m above 2000, --max-sum above
+200 or --max-level above 30, and files plot cannot write), 2 collision
+type (classify only), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import inspect
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from .classify import LevelSlope, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import CollisionType, LissbraidError
@@ -28,6 +30,9 @@ from .verify import SUITES
 _MAX_STEPS = 10**6
 _MAX_PERIODS = 1000
 _MAX_SYZYGY_LETTERS = 10**7
+# --max-m 2000 selects 202 878 types, --max-sum 200 with --max-level 30
+# selects 185 610 labels; either list takes under 100 MB to print
+_MAX_BOUNDS = {"max_m": 2000, "max_sum": 200, "max_level": 30}
 
 
 def _parse_type(text: str) -> tuple[int, int]:
@@ -46,11 +51,43 @@ def _parse_slope(text: str) -> tuple[int, int]:
         raise LissbraidError(f"--slope wants 'q/p', got {text!r}") from err
 
 
+def _checked_p0(m: int, n: int, periods: int = 1) -> tuple[int, int]:
+    """p0 of the type, once its syzygy output of 6 |omega| letters per
+    period is within the cap; |omega| = p(2N-1) + q(2N+1) is |ell| of p0
+    and bounds |H|, |W| and the matrix, so a report counts one period."""
+    p0 = reduce_to_p0(normalize(m, n))
+    letters = 6 * periods * abs(p0[0] - p0[1]) // 3
+    if letters > _MAX_SYZYGY_LETTERS:
+        raise LissbraidError(f"type {(m, n)} at {periods} period(s) asks for {letters} syzygy "
+                             f"letters, above the cap of {_MAX_SYZYGY_LETTERS}")
+    return p0
+
+
+@contextmanager
+def _int_digits_unlimited():
+    """Lift the int-to-str digit limit (Python 3.10.7+) while a result is
+    printed, and restore it; the size cap bounds the digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _check_bounds(args) -> None:
+    for name, cap in _MAX_BOUNDS.items():
+        value = getattr(args, name)
+        if value is not None and value > cap:
+            raise LissbraidError(f"--{name.replace('_', '-')} must be at most {cap}, got {value}")
+
+
 def _emit_report(report: Report, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(report.to_text())
+    with _int_digits_unlimited():
+        print(json.dumps(report.to_json_dict()) if as_json else report.to_text())
 
 
 def cmd_classify(args) -> int:
@@ -59,6 +96,7 @@ def cmd_classify(args) -> int:
     if not is_collision_free(m, n):
         print(json.dumps(collision_report_dict(m, n, nt)))
         return 2
+    _checked_p0(m, n)
     _emit_report(build_report(m, n), args.json)
     return 0
 
@@ -66,18 +104,19 @@ def cmd_classify(args) -> int:
 def cmd_from_label(args) -> int:
     p, q = _parse_slope(args.slope)
     m, n = type_of(LevelSlope(args.level, p, q))
+    _checked_p0(m, n)
     _emit_report(build_report(m, n), args.json)
     return 0
 
 
 def cmd_cf(args) -> int:
     m, n = _parse_type(args.type)
+    _checked_p0(m, n)
     report = build_report(m, n)
-    if args.json:
-        print(json.dumps({"farEndpoint": str(report.far_endpoint), "cf": report.cf.to_json_dict()}))
-    else:
-        print(f"{report.far_endpoint}")
-        print(f"cf: {report.cf}")
+    with _int_digits_unlimited():
+        far = str(report.far_endpoint)
+        body = {"farEndpoint": far, "cf": report.cf.to_json_dict()}
+        print(json.dumps(body) if args.json else f"{far}\ncf: {report.cf}")
     return 0
 
 
@@ -85,12 +124,7 @@ def cmd_syzygy(args) -> int:
     m, n = _parse_type(args.type)
     if not 1 <= args.periods <= _MAX_PERIODS:
         raise LissbraidError(f"--periods must lie in [1, {_MAX_PERIODS}], got {args.periods}")
-    p0 = reduce_to_p0(normalize(m, n))
-    # 6 copies of omega per period; |omega| = p(2N-1) + q(2N+1) is |ell| of p0
-    letters = 6 * args.periods * abs(p0[0] - p0[1]) // 3
-    if letters > _MAX_SYZYGY_LETTERS:
-        raise LissbraidError(f"--periods {args.periods} asks for {letters} syzygy letters, "
-                             f"above the cap of {_MAX_SYZYGY_LETTERS}")
+    p0 = _checked_p0(m, n, args.periods)
     om = omega(level_slope_of(*p0))
     seq = syzygy_sequence(*p0, periods=args.periods)
     if args.group:
@@ -123,6 +157,7 @@ def cmd_plot(args) -> int:
         else:
             path = svg_shape(nt, args.ratio, args.steps, args.out)
     else:
+        _checked_p0(m, n)
         report = build_report(m, n)
         path = svg_halfplane(report.matrix, args.max_denominator, args.out)
     print(path)
@@ -130,6 +165,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_bounds(args)
     if args.max_m is not None:
         rows = [{"m": m, "n": n, **level_slope_of(m, n).to_json_dict()}
                 for m, n in enumerate_p0(args.max_m)]
@@ -147,6 +183,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
+    _check_bounds(args)
     bounds = {"max_m": args.max_m, "max_sum": args.max_sum, "max_level": args.max_level}
     bounds = {name: value for name, value in bounds.items() if value is not None}
     ignored = [name for name in bounds if name not in inspect.signature(suite).parameters]

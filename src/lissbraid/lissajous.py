@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CollisionType, DivisibleByThree, InvariantError, NotCoprime
+from .errors import CollisionType, DivisibleByThree, NotCoprime
 
 
 def _sgn(x: int) -> int:
@@ -163,50 +163,30 @@ def is_primitive(m: int, n: int) -> bool:
     return m * n < 0 and abs(m) < abs(n) <= 2 * abs(m)
 
 
-def _window_shift(ell: int, m: int) -> tuple[int, int, int]:
-    """Unique ell' in (+-ell + 2mZ) with m*ell' > 0 and |ell'| <= |m|.
+def reduce_to_p0(nt: NormalizedType) -> tuple[int, int]:
+    """The primitive type whose class contains the given one.
 
-    Returns (ell', s, j) with ell' = s*ell + 2*m*j.  Prefers s = +1 when
-    both sign classes reach the window (they then agree on ell').  For odd
-    ell the residue r of ell mod 2|m| is nonzero, so r or 2|m| - r lies in
-    the window: the loop always returns.
-    """
-    a = abs(m)
-    for s in (1, -1):
-        r = (s * ell) % (2 * a)
-        if m > 0 and 0 < r <= a:
-            new = r
-        elif m < 0 and r >= a:
-            new = r - 2 * a
-        else:
-            continue
-        # new = s*ell (mod 2|m|) by construction, so the division is exact
-        return new, s, (new - s * ell) // (2 * m)
-    raise InvariantError(f"no window representative for ell={ell}, m={m}")
-
-
-def reduce_to_p0_detail(nt: NormalizedType) -> tuple[tuple[int, int], bool]:
-    """Primitive representative and whether the roles of H got swapped.
-
-    Repeatedly shifts ell into the window m*ell > 0, |ell| <= |m| and
-    swaps the roles of m and n while |ell| < (2/3)|m|; each swap strictly
-    decreases |m|.  The flag records whether H of the input type equals
-    H of the result (False) or of the result with arguments swapped (True).
+    The class moves ell to the one ell' in (+-ell + 2mZ) with m*ell' > 0
+    and |ell'| <= |m|, and swaps the roles of m and n = m - 3ell' while
+    3|ell'| <= 2|m|.  On M = |m| and L = |ell| the shift is
+    L <- min(L mod 2M, 2M - L mod 2M), and the swap, as ell' has the
+    sign of m, is M <- |M - 3L| with L kept.  L stays odd, so it is never
+    0.  While M >= 4L, a swap leaves M - 3L >= L, where the shift keeps L
+    and 3L > 2M fails; so those swaps are one step, M <- (M - L) mod 3L + L
+    (ell = +-1 then takes at most 2 steps).  Every m of the chain is
+    m - 3ell' of the one before, 1 mod 3 as the input's, so M mod 3 gives
+    the sign of m and ell takes that sign.
     """
     _check_collision_free(nt)
-    m, ell = nt.m, nt.ell
-    swapped = False
+    big_m, big_l = abs(nt.m), abs(nt.ell)
     while True:
-        ell, s, j = _window_shift(ell, m)
-        if (s == -1) != (j % 2 == 1):
-            swapped = not swapped
-        n = m - 3 * ell
-        if 3 * abs(ell) > 2 * abs(m):
-            return (m, n), swapped
-        swapped = not swapped
-        m, ell = n, -ell
-
-
-def reduce_to_p0(nt: NormalizedType) -> tuple[int, int]:
-    """The primitive type whose class contains the given one."""
-    return reduce_to_p0_detail(nt)[0]
+        r = big_l % (2 * big_m)
+        big_l = min(r, 2 * big_m - r)
+        if 3 * big_l > 2 * big_m:
+            break
+        if big_m >= 4 * big_l:
+            big_m = (big_m - big_l) % (3 * big_l) + big_l
+        else:
+            big_m = abs(big_m - 3 * big_l)
+    m, ell = (big_m, big_l) if big_m % 3 == 1 else (-big_m, -big_l)
+    return m, m - 3 * ell

@@ -64,14 +64,6 @@ def _split_square(d: int) -> tuple[int, int]:
     return c, d
 
 
-def _floor_surd(p: int, q: int, root: int) -> int:
-    """Exact floor((p + sqrt(d)) / q) for nonsquare d > 0, given root = isqrt(d)."""
-    # sqrt(d) is irrational, so floor(p + sqrt(d)) = p + root
-    if q > 0:
-        return (p + root) // q
-    return -((p + root) // (-q) + 1)
-
-
 @dataclass(frozen=True)
 class QuadSurd:
     """The real quadratic irrational (P + sqrt(D)) / Q, stored as its one
@@ -107,7 +99,8 @@ class QuadSurd:
         return ((self.P << 64) + isqrt(self.D << 128)) / (self.Q << 64)
 
     def floor(self) -> int:
-        return _floor_surd(self.P, self.Q, isqrt(self.D))
+        # sqrt(D) is irrational, so this is floor((u + f) / Q) with u = P + isqrt(D), 0 < f < 1
+        return (self.P + isqrt(self.D) + (self.Q < 0)) // self.Q
 
     def __str__(self) -> str:
         """(P + c√d)/Q in lowest terms, with c√d = √D and d free of the
@@ -161,33 +154,35 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     a purely periodic expansion exactly when it is reduced, so every
     quotient of the cycle is reduced and none before it is; the expansion
     closes when that quotient comes back, and only its state is kept.
-    With r = isqrt(D) and Q > 0 (which both conditions force), the value
-    is > 1 iff r >= Q - P, and the conjugate is < 0 iff P <= r and > -1
-    iff r < P + Q, since sqrt(D) is irrational.
 
-    The cycle runs on u = P + r in place of P.  Q > 0 there, so
-    a = floor(u / Q), and a >= 1 since the quotient is > 1, so u >= Q.
-    Hence with t = u - Q, a = 1 exactly when t < Q, and the remainder is
-    t; otherwise a - 1, t mod Q = divmod(t, Q).  The next state is
-    u' = P' + r = aQ - u + 2r = 2r - (u - aQ), 2r minus the remainder,
-    and P - P' = u - u', so Q' = Q_prev + a (u - u') needs no multiply
-    when a = 1.  (u, Q) determines (P, Q), so the cycle closes when
-    (u, Q) comes back.
+    Both loops run on u = P + r in place of P, with r = isqrt(D).  As
+    sqrt(D) is irrational, a = floor((u + f) / Q) with 0 < f < 1, which is
+    u // Q for Q > 0 and (u + 1) // Q for Q < 0.  The next state is
+    u' = P' + r = aQ - u + 2r = 2r - (u - aQ), and P - P' = u - u', so
+    Q' = Q_prev + a (u - u').  The quotient is reduced iff
+    0 < Q <= u <= 2r < u + Q: it is > 1 iff r >= Q - P, and its conjugate
+    is < 0 iff P <= r and > -1 iff r < P + Q, both forcing Q > 0.
+
+    In the cycle Q > 0 and a >= 1, so u >= Q.  Hence with t = u - Q,
+    a = 1 exactly when t < Q, and the remainder u - aQ is t; otherwise
+    a - 1, t mod Q = divmod(t, Q).  Q' needs no multiply when a = 1.
+    (u, Q) determines (P, Q), so the cycle closes when (u, Q) comes back.
     """
     p, q, d = x.P, x.Q, x.D
     q_prev, rem = divmod(d - p * p, q)
     if rem:
         raise InvariantError(f"{x!r} violates Q | D - P^2")
     root = isqrt(d)
+    two_root, u = 2 * root, p + root
     terms: list[int] = []
-    while not (0 < q and p <= root < p + q and q - p <= root):
-        a = _floor_surd(p, q, root)
-        terms.append(a)
-        p_next = a * q - p
-        p, q, q_prev = p_next, q_prev + a * (p - p_next), q
-    start, append, two_root = len(terms), terms.append, 2 * root
-    u0 = u = p + root
-    q0 = q
+    append = terms.append
+    while not 0 < q <= u <= two_root < u + q:
+        a = (u + (q < 0)) // q
+        append(a)
+        u_next = two_root - (u - a * q)
+        q, q_prev = q_prev + a * (u - u_next), q
+        u = u_next
+    start, u0, q0 = len(terms), u, q
     while True:
         t = u - q
         if t < q:

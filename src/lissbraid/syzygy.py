@@ -18,7 +18,7 @@ def omega(label: LevelSlope) -> str:
     """Sign word over +- from the label: each radius r becomes (+-)^(r-1)+.
 
     The radii are N and N+1 in place of the letters 0 and 1 of the
-    palindromic Christoffel word (see classify.radii_of).  The length is
+    palindromic Christoffel word (see classify.clusters_of).  The length is
     p(2N-1) + q(2N+1), the letter length of H.
     """
     return radius_blocks(label.level, palindromic_christoffel(label.p, label.q), ("+-",))

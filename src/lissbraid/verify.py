@@ -11,7 +11,7 @@ from math import gcd
 from typing import Callable
 
 from .algebra import A_MAT, ab_to_frieze, cyclically_equal, frieze_w
-from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, radii_of, type_of
+from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import LissbraidError
 from .lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
 from .shapetrace import (
@@ -95,7 +95,7 @@ def suite_cf(max_m: int = 60, **_) -> list[Case]:
     for m, n in enumerate_p0(max_m):
         _, mat = frieze_w(build_H(normalize(m, n)))
         cf = cf_expand(far_endpoint(mat))
-        radii = radii_of(level_slope_of(m, n))
+        radii = clusters_of(level_slope_of(m, n)).radii
         odd = all(a % 2 == 1 for a in cf.period)
         match = matches_cluster_period(cf, radii)
         out.append((f"cf ({m},{n})", odd and match,

@@ -9,7 +9,6 @@ from lissbraid.classify import (
     enumerate_labels,
     enumerate_p0,
     level_slope_of,
-    radii_of,
     type_of,
 )
 from lissbraid.errors import InvalidLabel, NotPrimitive
@@ -64,7 +63,7 @@ def test_invalid_labels_rejected():
 ])
 def test_clusters_of_examples(label, radii, letters):
     cs = clusters_of(label)
-    assert cs.radii == radii_of(label) == radii
+    assert cs.radii == radii
     assert cs.letters == letters
     assert cs.radii == cs.radii[::-1]
 
@@ -127,7 +126,7 @@ def test_clusters_and_cf_at_large_m(label):
     assert clusters_of(label).letters == h
     _, mat = frieze_w(h)
     cf = cf_expand(far_endpoint(mat))
-    assert cf == CfExpansion((), tuple(2 * r - 1 for r in radii_of(label)))
+    assert cf == CfExpansion((), tuple(2 * r - 1 for r in clusters_of(label).radii))
 
 
 def test_h_length_identity():

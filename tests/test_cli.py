@@ -1,17 +1,20 @@
 import io
 import json
 import pathlib
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lissbraid.classify import level_slope_of
+from lissbraid.algebra import frieze_w
+from lissbraid.classify import LevelSlope, level_slope_of, type_of
 from lissbraid import cli
 from lissbraid.cli import main
+from lissbraid.lissajous import build_H, normalize
 from lissbraid.report import build_report
-from lissbraid.surd import cf_expand, far_endpoint
+from lissbraid.surd import cf_expand, dilatation, far_endpoint
 from lissbraid.syzygy import omega, syzygy_sequence
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -173,6 +176,54 @@ def test_classify_and_from_label_beyond_float_range(capsys):
     assert json.loads(out)["dilatation"]["approx"] is None
 
 
+def test_report_commands_cap_their_size(capsys, monkeypatch, tmp_path):
+    # the label (10**7, 1/4) has |omega| = |ell| of p0 = 99999997, so one syzygy
+    # period is 599999982 letters: rejected before any report is built
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the cap was checked")
+
+    m, n = type_of(LevelSlope(10**7, 4, 1))
+    commands = [("from-label", "--level", "10000000", "--slope", "1/4"),
+                ("classify", "--type", f"{m},{n}"), ("cf", "--type", f"{m},{n}"),
+                ("plot", "--type", f"{m},{n}", "--kind", "halfplane",
+                 "--out", str(tmp_path / "h.svg"))]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_report", fail)
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error:") and "599999982" in err and len(err.splitlines()) == 1
+
+
+def test_classify_ell_one_type_at_10_to_12(capsys):
+    code, out, err = run(capsys, "classify", "--type", "1000000000000,999999999997", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["p0"] == {"m": 1, "n": -2}
+
+
+def test_reports_print_past_the_int_digit_limit(capsys):
+    # the dilatation's D of (1, 1/10000) has more than 4300 digits; the limit
+    # is lifted while the report prints, then restored
+    label = LevelSlope(1, 10000, 1)
+    m, n = type_of(label)
+    _, mat = frieze_w(build_H(normalize(m, n)))
+    far = far_endpoint(mat)
+    assert dilatation(mat).D > 10**4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "from-label", "--level", "1", "--slope", "1/10000", "--json")
+    assert code == 0 and err == "" and sys.get_int_max_str_digits() == limit
+    code, cf_out, err = run(capsys, "cf", "--type", f"{m},{n}", "--json")
+    assert code == 0 and err == "" and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        body, cf_body = json.loads(out), json.loads(cf_out)
+        assert body["matrix"] == mat.to_rows()
+        assert body["cf"] == cf_body["cf"] == cf_expand(far).to_json_dict()
+        assert cf_body["farEndpoint"] == body["farEndpoint"] == str(far)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_enumerate_types(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-m", "4")
     assert code == 0
@@ -190,7 +241,10 @@ def test_enumerate_labels(capsys):
 
 def test_enumerate_needs_a_bound(capsys):
     # bounds that select nothing are input errors too, as in verify
-    for bounds in ([], ["--max-m", "0"], ["--max-sum", "5", "--max-level", "0"]):
+    # and bounds above the caps, checked before anything is built
+    for bounds in ([], ["--max-m", "0"], ["--max-sum", "5", "--max-level", "0"],
+                   ["--max-m", "100000"], ["--max-sum", "100000", "--max-level", "10"],
+                   ["--max-sum", "5", "--max-level", "31"]):
         code, out, err = run(capsys, "enumerate", *bounds)
         assert code == 1
         assert out == ""
@@ -218,7 +272,8 @@ def test_verify_empty_selection_exits_1(capsys):
 
 
 @pytest.mark.parametrize("bounds", [("--max-m", "0", "--max-sum", "0"), ("--max-m", "0"),
-                                    ("--max-sum", "0"), ("--max-level", "0")])
+                                    ("--max-sum", "0"), ("--max-level", "0"),
+                                    ("--max-m", "100000"), ("--max-sum", "201")])
 def test_verify_bijection_over_empty_set_exits_1(capsys, bounds):
     code, out, err = run(capsys, "verify", "--suite", "bijection", *bounds)
     assert code == 1

@@ -16,8 +16,8 @@ from lissbraid.lissajous import (
     is_primitive,
     normalize,
     reduce_to_p0,
-    reduce_to_p0_detail,
 )
+from lissbraid.verify import normalized_types
 
 
 def test_normalize_examples():
@@ -136,11 +136,60 @@ def test_reduce_to_p0_examples(mn, expected):
 
 
 def test_reduce_to_p0_flag_tracks_h():
-    for m, n in [(1, 4), (-2, -5), (4, -5), (1, -8), (4, 19), (-2, 7), (7, -20), (-5, 16)]:
+    # H of a type is H of its p0 or of p0 with m and n swapped, and the two differ
+    pairs = [(1, 4), (-2, -5), (4, -5), (1, -8), (4, 19), (-2, 7), (7, -20), (-5, 16)]
+    box = list(normalized_types(40, 80))
+    assert len(box) == 662
+    for m, n in pairs + box:
         nt = normalize(m, n)
-        (m0, n0), swapped = reduce_to_p0_detail(nt)
-        target = normalize(n0, m0) if swapped else normalize(m0, n0)
-        assert build_H(nt) == build_H(target), (m, n, m0, n0, swapped)
+        m0, n0 = reduce_to_p0(nt)
+        candidates = build_H(normalize(m0, n0)), build_H(normalize(n0, m0))
+        assert candidates[0] != candidates[1] and build_H(nt) in candidates, (m, n)
+
+
+def _window_reduce(nt):
+    """Reference: one window shift and one swap per pass, with signs.
+
+    Shifts ell to the one ell' in (+-ell + 2mZ) with m*ell' > 0 and
+    |ell'| <= |m|, and swaps the roles of m and n = m - 3ell' while
+    3|ell'| <= 2|m|.
+    """
+    m, ell = nt.m, nt.ell
+    while True:
+        a = abs(m)
+        for s in (1, -1):
+            r = (s * ell) % (2 * a)
+            if m > 0 and 0 < r <= a:
+                ell = r
+                break
+            if m < 0 and r >= a:
+                ell = r - 2 * a
+                break
+        n = m - 3 * ell
+        if 3 * abs(ell) > 2 * abs(m):
+            return m, n
+        m, ell = n, -ell
+
+
+def test_reduce_to_p0_equals_window_loop():
+    box = [normalize(m, n) for m, n in normalized_types(400, 400)]
+    assert len(box) == 32504
+    rng = random.Random(5)
+    big = []
+    while len(big) < 600:
+        m, n = (rng.randrange(1, 10 ** rng.randrange(4, 61)) * rng.choice((1, -1)) for _ in "mn")
+        if m % 3 and n % 3 and gcd(m, n) == 1 and normalize(m, n).ell % 2:
+            big.append(normalize(m, n))
+    for nt in box + big:
+        assert reduce_to_p0(nt) == _window_reduce(nt), nt
+
+
+def test_reduce_to_p0_ell_one_types_at_huge_m():
+    # the window loop descends by 3 per pass here; (M - L) mod 3L + L jumps to M = 1
+    for big in (10**12, 10**100):
+        for n in (big - 3, big + 3):
+            assert abs(normalize(big, n).ell) == 1
+            assert reduce_to_p0(normalize(big, n)) == (1, -2)
 
 
 def test_reduce_to_p0_lands_in_p0():

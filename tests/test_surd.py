@@ -240,6 +240,12 @@ def test_cf_negative_q_and_negative_value():
     cf = cf_expand(y)
     assert cf.preperiod[0] == -1
     assert abs(cf_evaluate(cf, 60) - y.approx()) < 1e-9
+    # the floor of every small triple, either sign of Q, against its float
+    for p in range(-12, 13):
+        for q in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+            for d in (2, 3, 5, 7, 13):
+                z = QuadSurd(p, q, d)
+                assert z.floor() == math.floor(z.approx()), (p, q, d)
 
 
 def _cf_by_division(x):

@@ -1,6 +1,6 @@
 import pytest
 
-from lissbraid.classify import LevelSlope, enumerate_p0, level_slope_of, radii_of
+from lissbraid.classify import LevelSlope, clusters_of, enumerate_p0, level_slope_of
 from lissbraid.errors import NotPrimitive
 from lissbraid.syzygy import is_reduced, omega, syzygy_sequence
 
@@ -69,7 +69,7 @@ def test_is_reduced(seq, expected):
 
 def _walk_by_letter(m, n, periods):
     """Reference: the per-letter walk over omega, built radius by radius."""
-    drive = "".join("+-" * (r - 1) + "+" for r in radii_of(level_slope_of(m, n))) * (6 * periods)
+    drive = "".join("+-" * (r - 1) + "+" for r in clusters_of(level_slope_of(m, n)).radii) * (6 * periods)
     direction = -1 if m > 0 else 1
     arc, out = 1, []
     for sign in drive:
@@ -84,7 +84,7 @@ def test_syzygy_equals_per_letter_walk():
     assert len(types) == 2042
     for m, n in types:
         label = level_slope_of(m, n)
-        assert omega(label) == "".join("+-" * (r - 1) + "+" for r in radii_of(label))
+        assert omega(label) == "".join("+-" * (r - 1) + "+" for r in clusters_of(label).radii)
         # the walk from arc 1 over more copies of omega extends the walk over fewer
         walk = _walk_by_letter(m, n, 3)
         for periods in (1, 2, 3):
