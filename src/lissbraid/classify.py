@@ -103,17 +103,18 @@ def clusters_of(label: LevelSlope) -> ClusterSeq:
 
 
 def enumerate_p0(max_m: int) -> list[tuple[int, int]]:
-    """All primitive types with |m| <= max_m, in (|m|, |n|) order."""
+    """All primitive types with |m| <= max_m, in (|m|, |n|) order.
+
+    n = 1 (mod 3) with m, n of opposite signs and m - n odd says
+    |m| + |n| = 3 (mod 6), so |n| runs through that one class mod 6.
+    """
     out = []
     for am in range(1, max_m + 1):
         if am % 3 == 0:
             continue
-        m = am if am % 3 == 1 else -am
-        for an in range(am + 1, 2 * am + 1):
-            n = -an if m > 0 else an
-            if n % 3 != 1 or gcd(am, an) != 1 or (m - n) % 6 == 0:
-                continue
-            out.append((m, n))
+        sign = 1 if am % 3 == 1 else -1
+        first = am + 1 + (2 - 2 * am) % 6
+        out += [(sign * am, -sign * an) for an in range(first, 2 * am + 1, 6) if gcd(am, an) == 1]
     return out
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 ok, 1 usage/input error (including an empty verify or
 enumerate selection, a verify bound the suite does not take, plot steps
 or syzygy periods above their caps, a syzygy output or a report whose
 syzygy word is above 10**7 letters, --max-m above 2000, --max-sum above
-200 or --max-level above 30, and files plot cannot write), 2 collision
+200 or --max-level above 30, a plot --kind shape type whose 600 |m ell|
+is above the largest float, and files plot cannot write), 2 collision
 type (classify only), 3 verification failure.
 """
 

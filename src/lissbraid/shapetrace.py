@@ -7,19 +7,22 @@ Everything here re-derives data from the geometry of
 with rho = exp(i pi/3), l = ell and a small amplitude ratio r = B/A,
 independently of the exact integer formulas, so the two routes can be
 checked against each other.  SVG and CSV emission for the shape sphere
-and the upper half plane live here as well.  numpy is imported inside
-the functions that compute with it, so the exact CLI commands never load it.
+and the upper half plane live here as well.  The oracles evaluate psi
+over numpy arrays and the figures point by point with cmath, through one
+formula; numpy is imported inside the oracles, so only they load it and
+every CLI command but `verify --suite epsilon|collision|syzygy` runs
+without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
+import sys
 from math import gcd
 
 from .algebra import Psl2Mat
-from .errors import BorderHit, Unstable
+from .errors import BorderHit, LissbraidError, Unstable
 from .lissajous import NormalizedType, _check_collision_free
 from .surd import fixed_points
 
@@ -35,18 +38,43 @@ _THIRD = 2 * math.pi / 3
 
 
 def start_offset(nt: NormalizedType) -> float:
-    """Start time just before (ell > 0) or after (ell < 0) zero."""
+    """Start time just before (ell > 0) or after (ell < 0) zero.
+
+    A type whose 600 |m ell| exceeds the largest float has no float time
+    scale, which is an input error."""
+    if 600 * abs(nt.m * nt.ell) > sys.float_info.max:
+        raise LissbraidError(f"type {(nt.m, nt.n)} is too large for float time: "
+                             f"600 |m ell| exceeds {sys.float_info.max:g}")
     sgn_l = 1 if nt.ell > 0 else -1
     return -sgn_l / (600.0 * abs(nt.m * nt.ell))
 
 
-def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _psi(exp, nt: NormalizedType, ratio: float):
+    """psi as a function of t: over float arrays with exp = numpy.exp, over
+    floats with exp = cmath.exp.  The constants are the products that the
+    formula evaluates left to right, so both give the same bits up to the
+    two complex divisions (numpy multiplies by a reciprocal)."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0,1), got {ratio}")
-    ts = np.asarray(ts, dtype=float)
-    osc = np.exp(6j * math.pi * nt.ell * ts)
-    return RHO * np.exp(-4j * math.pi * nt.m * ts) * (1 + 1j * ratio * osc) / (1 + 1j * ratio / osc)
+    fast, slow, ir = 6j * math.pi * nt.ell, -4j * math.pi * nt.m, 1j * ratio
+
+    def psi(t):
+        osc = exp(fast * t)
+        return RHO * exp(slow * t) * (1 + ir * osc) / (1 + ir / osc)
+    return psi
+
+
+def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
+    import numpy as np
+    return _psi(np.exp, nt, ratio)(np.asarray(ts, dtype=float))
+
+
+def _sample_times(t0: float, t1: float, steps: int) -> list[float]:
+    """numpy.linspace(t0, t1, steps) for steps >= 2, as floats, bit for bit."""
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+    step = (t1 - t0) / (steps - 1)
+    return [i * step + t0 for i in range(steps - 1)] + [t1]
 
 
 def epsilon_oracle(nt: NormalizedType) -> tuple[int, ...]:
@@ -205,17 +233,16 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
               path: str = "shape.svg") -> str:
     """Shape-sphere figure: compressed equator, border rays, collision
     points, and the full-period curve.  Returns the path written."""
-    import numpy as np
     from .classify import level_slope_of
     from .lissajous import reduce_to_p0
 
     _check_collision_free(nt)
+    delta = start_offset(nt)
+    psi = _psi(cmath.exp, nt, ratio)
     label = level_slope_of(*reduce_to_p0(nt))
     meta = f"type=({nt.m},{nt.n}) level={label.level} slope={label.slope_str}"
-    delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 + delta, steps)
-    psis = psi_values(nt, ratio, ts)
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (_sphere_xy(complex(z)) for z in psis))
+    pts = " ".join(f"{x:.2f},{y:.2f}"
+                   for x, y in map(_sphere_xy, map(psi, _sample_times(delta, 1.0 + delta, steps))))
     cx = cy = _SVG_SIZE / 2
     req = _SVG_SCALE / 2  # compressed radius of the equator
     rays = []
@@ -253,15 +280,13 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
 def csv_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000,
               path: str = "shape.csv") -> str:
     """CSV of one third of a period: header t,re_psi,im_psi, 12 significant digits."""
-    import numpy as np
     _check_collision_free(nt)
     delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 / 3.0 + delta, steps)
-    psis = psi_values(nt, ratio, ts)
+    psi = _psi(cmath.exp, nt, ratio)
+    ts = _sample_times(delta, 1.0 / 3.0 + delta, steps)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,re_psi,im_psi\n")
-        fh.writelines(f"{t:.12g},{z.real:.12g},{z.imag:.12g}\n"
-                      for t, z in zip(ts.tolist(), psis.tolist()))
+        fh.writelines(f"{t:.12g},{z.real:.12g},{z.imag:.12g}\n" for t, z in zip(ts, map(psi, ts)))
     return path
 
 
@@ -275,6 +300,7 @@ def farey_edges(x0: int, x1: int, max_denominator: int) -> list[tuple[Fraction, 
     b = c^-1 mod d and a = (cb - 1)/d, so cb - ad = 1.  Listing those
     takes time proportional to the number of edges.
     """
+    from fractions import Fraction
     out = [(Fraction(k), Fraction(k + 1)) for k in range(x0, x1)]
     for d in range(2, max_denominator + 1):
         for c in range(x0 * d + 1, x1 * d):

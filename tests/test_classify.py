@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from math import gcd
 
 import pytest
@@ -99,6 +100,30 @@ def test_enumerate_p0_against_filter_oracle():
         key=lambda t: (abs(t[0]), abs(t[1])),
     )
     assert enumerate_p0(max_m) == brute
+
+
+def _enumerate_p0_by_filter(max_m):
+    # enumerate_p0 before it stepped through one class mod 6: every |n| in
+    # (|m|, 2|m|] is tested; kept as the reference
+    out = []
+    for am in range(1, max_m + 1):
+        if am % 3 == 0:
+            continue
+        m = am if am % 3 == 1 else -am
+        for an in range(am + 1, 2 * am + 1):
+            n = -an if m > 0 else an
+            if n % 3 != 1 or gcd(am, an) != 1 or (m - n) % 6 == 0:
+                continue
+            out.append((m, n))
+    return out
+
+
+def test_enumerate_p0_equals_the_filter_loop():
+    reference = _enumerate_p0_by_filter(400)
+    ams = [abs(m) for m, _ in reference]
+    for max_m in range(401):
+        assert enumerate_p0(max_m) == reference[:bisect_right(ams, max_m)], max_m
+    assert len(enumerate_p0(2000)) == 202878
 
 
 def test_enumerate_labels_examples():

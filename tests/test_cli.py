@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lissbraid.algebra import frieze_w
 from lissbraid.classify import LevelSlope, level_slope_of, type_of
-from lissbraid import cli
+from lissbraid import cli, lissajous
 from lissbraid.cli import main
 from lissbraid.lissajous import build_H, normalize
 from lissbraid.report import build_report
@@ -378,6 +378,25 @@ def test_plot_unwritable_out_exits_1(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Error" in err
+
+
+def test_plot_shape_beyond_float_time_exits_1(tmp_path, capsys, monkeypatch):
+    # 600 |m ell| of (10**400 + 4, -5) exceeds the largest float: the start
+    # time has no float, which is rejected before the label is computed
+    def fail(*args, **kwargs):
+        raise AssertionError("reduced before the float range was checked")
+
+    monkeypatch.setattr(lissajous, "reduce_to_p0", fail)
+    for fmt in ("svg", "csv"):
+        out_path = tmp_path / f"s.{fmt}"
+        code, out, err = run(capsys, "plot", "--type", f"{10**400 + 4},-5", "--format", fmt,
+                             "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and "float" in err and len(err.splitlines()) == 1
+    monkeypatch.undo()
+    code, out, err = run(capsys, "plot", "--type", f"{10**20 + 4},-5", "--steps", "50",
+                         "--out", str(tmp_path / "s.svg"))
+    assert code == 0 and err == ""
 
 
 def test_text_and_json_agree(capsys):

@@ -251,6 +251,58 @@ def test_csv_shape(tmp_path):
     assert abs(complex(re, im) + 1.0) < 0.05
 
 
+def _numpy_curve(nt, ratio, t1, steps):
+    # the figures' numpy formula before they moved to cmath, kept as their oracle
+    delta = start_offset(nt)
+    ts = np.linspace(delta, t1 + delta, steps)
+    osc = np.exp(6j * math.pi * nt.ell * ts)
+    return ts, RHO * np.exp(-4j * math.pi * nt.m * ts) * (1 + 1j * ratio * osc) / (1 + 1j * ratio / osc)
+
+
+def test_svg_shape_equals_the_numpy_formula(tmp_path):
+    out = str(tmp_path / "shape.svg")
+    types = enumerate_p0(60)
+    assert len(types) == 180
+    for m, n in types:
+        nt = normalize(m, n)
+        ts, psis = _numpy_curve(nt, 0.05, 1.0, 6000)
+        delta = start_offset(nt)
+        assert shapetrace._sample_times(delta, 1.0 + delta, 6000) == ts.tolist()
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(shapetrace._sphere_xy, psis.tolist()))
+        assert f'<polyline points="{pts}"' in open(svg_shape(nt, 0.05, 6000, out)).read(), (m, n)
+
+
+def test_figures_reject_fewer_than_two_steps(tmp_path):
+    for figure in (svg_shape, csv_shape):
+        with pytest.raises(ValueError):
+            figure(normalize(4, -5), 0.05, 1, str(tmp_path / "figure"))
+    assert not (tmp_path / "figure").exists()
+
+
+def _rounds_near(text, value):
+    # text is the 12-digit rounding of a float within 1e-15 absolute or 2e-12
+    # relative of value: rounding is monotonic, so it lies between the ends' roundings
+    tol = max(1e-15, 2e-12 * abs(value))
+    return float(f"{value - tol:.12g}") <= float(text) <= float(f"{value + tol:.12g}")
+
+
+def test_csv_shape_equals_the_numpy_formula(tmp_path):
+    # cmath divides where numpy multiplies by a reciprocal, so the last bits
+    # of psi may differ, and with them a 12th digit
+    out = str(tmp_path / "shape.csv")
+    for m, n in enumerate_p0(60):
+        nt = normalize(m, n)
+        ts, psis = _numpy_curve(nt, 0.05, 1.0 / 3.0, 6000)
+        expected = [f"{t:.12g},{z.real:.12g},{z.imag:.12g}" for t, z in zip(ts.tolist(), psis.tolist())]
+        rows = open(csv_shape(nt, 0.05, 6000, out)).read().splitlines()
+        assert rows[0] == "t,re_psi,im_psi" and len(rows) == 6001
+        for row, want, z in zip(rows[1:], expected, psis.tolist()):
+            if row != want:
+                t_text, re_text, im_text = row.split(",")
+                assert t_text == want.split(",")[0], (m, n, row)
+                assert _rounds_near(re_text, z.real) and _rounds_near(im_text, z.imag), (m, n, row)
+
+
 def _farey_brute(x0, x1, max_denominator):
     # every pair of reduced fractions in [x0, x1] tested for |ad - bc| = 1
     fracs = sorted({Fraction(p, q) for q in range(1, max_denominator + 1)

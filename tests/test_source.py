@@ -34,17 +34,22 @@ def _fresh_interpreter(code: str) -> list[str]:
 def test_numpy_is_loaded_only_by_the_float_code():
     assert _fresh_interpreter("import sys, lissbraid.verify; print('numpy' in sys.modules)") == ["False"]
     assert _fresh_interpreter(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, sys, tempfile\n"
         "import lissbraid.cli\n"
         "print('numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = lissbraid.cli.main(['classify', '--type', '4,-5', '--json'])\n"
         "print(code, 'numpy' in sys.modules)\n"
+        "with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [lissbraid.cli.main(['plot', '--type', '4,-5', '--kind', 'shape',\n"
+        "                                 '--format', fmt, '--out', f'{tmp}/shape.{fmt}'])\n"
+        "             for fmt in ('svg', 'csv')]\n"
+        "print(*codes, 'numpy' in sys.modules)\n"
         "from lissbraid.lissajous import normalize\n"
         "from lissbraid.shapetrace import epsilon_oracle\n"
         "epsilon_oracle(normalize(4, -5))\n"
         "print('numpy' in sys.modules)\n"
-    ) == ["False", "0", "False", "True"]
+    ) == ["False", "0", "False", "0", "0", "False", "True"]
 
 
 def test_bench_tracer_targets_resolve():
