@@ -5,8 +5,9 @@ enumerate selection, a verify bound the suite does not take, plot steps
 or syzygy periods above their caps, a syzygy output or a report whose
 syzygy word is above 10**7 letters, --max-m above 2000, --max-sum above
 200 or --max-level above 30, a plot --kind shape type whose 600 |m ell|
-is above the largest float, and files plot cannot write), 2 collision
-type (classify only), 3 verification failure.
+is above the largest float, a half-plane figure above 10**5 Farey edges,
+and files plot cannot write), 2 collision type (classify only), 3
+verification failure.
 """
 
 from __future__ import annotations

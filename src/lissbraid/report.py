@@ -65,7 +65,7 @@ class Report:
 
     def to_text(self) -> str:
         d = self.to_json_dict()
-        approx = d["dilatation"]["approx"]
+        dil = d["dilatation"]
         lines = [
             f"input:        ({d['input']['m']},{d['input']['n']})",
             f"normalized:   ({d['normalized']['m']},{d['normalized']['n']})  ell={d['normalized']['ell']}",
@@ -77,8 +77,8 @@ class Report:
             f"friezeW:      {self.frieze_w}",
             f"matrix:       {self.matrix}",
             f"trace:        {self.trace}  ({self.trace_class})",
-            f"dilatation:   {self.dilatation_exact}" + ("" if approx is None else f" = {approx!r}"),
-            f"far endpoint: {self.far_endpoint}",
+            f"dilatation:   {dil['exact']}" + ("" if dil["approx"] is None else f" = {dil['approx']!r}"),
+            f"far endpoint: {d['farEndpoint']}",
             f"cf:           {self.cf}",
             f"omega:        {self.omega}",
             f"syzygy:       {self.syzygy_period}",

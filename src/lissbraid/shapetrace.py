@@ -220,13 +220,15 @@ def syzygy_oracle(nt: NormalizedType) -> str:
 
 _SVG_SIZE = 1000
 _SVG_SCALE = 450.0
+# an edge is about 100 bytes of SVG: (4,-5) at max_denominator 100 draws
+# 42 609 edges in 4.3 MB, so the cap bounds the file near 10 MB
+_MAX_FAREY_EDGES = 10**5
 
 
 def _sphere_xy(z: complex) -> tuple[float, float]:
     # radial compression r -> r/(1+r) maps the whole plane into the unit disk
-    r = abs(z)
-    w = z / (1.0 + r) if r > 0 else 0j
-    return (_SVG_SIZE / 2 + _SVG_SCALE * w.real, _SVG_SIZE / 2 - _SVG_SCALE * w.imag)
+    s = 1.0 + abs(z)
+    return (_SVG_SIZE / 2 + _SVG_SCALE * (z.real / s), _SVG_SIZE / 2 - _SVG_SCALE * (z.imag / s))
 
 
 def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 6000,
@@ -314,10 +316,20 @@ def farey_edges(x0: int, x1: int, max_denominator: int) -> list[tuple[Fraction, 
 
 def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane.svg") -> str:
     """Upper-half-plane figure: Farey tessellation (uncolored) and the axis
-    of a hyperbolic matrix between its two fixed points."""
+    of a hyperbolic matrix between its two fixed points.
+
+    Each unit of [x0, x1] holds 1 + 2 (phi(2) + ... + phi(max_denominator))
+    Farey edges, 43 at the default; a figure above _MAX_FAREY_EDGES of them
+    is an input error, raised before any edge is listed or file opened."""
     e0, e1 = sorted(fp.approx() for fp in fixed_points(mat))
     x0, x1 = math.floor(e0) - 1, math.ceil(e1) + 1
     width = x1 - x0
+    edges = width * (1 + 2 * sum(gcd(c, d) == 1 for d in range(2, max_denominator + 1)
+                                 for c in range(d)))
+    if edges > _MAX_FAREY_EDGES:
+        raise LissbraidError(f"the half-plane figure over [{x0}, {x1}] has {edges} Farey edges "
+                             f"up to denominator {max_denominator}, above the cap of "
+                             f"{_MAX_FAREY_EDGES}")
     scale = (_SVG_SIZE - 100) / width
     height = int(scale * width * 0.6) + 60
 

@@ -46,10 +46,9 @@ def _split_square(d: int) -> tuple[int, int]:
     gcd picks the primes to peel and the big d is divided only by those.
     This equals peeling f^2 for every f up to 1000: once the squares of
     all primes below f are peeled, f^2 cannot divide the rest for
-    composite f, whose smallest prime factor h has h^2 | f^2.
+    composite f, whose smallest prime factor h has h^2 | f^2.  Any d >= 1
+    works, squares too: peeling prime squares off a square leaves a square.
     """
-    if _is_square(d):
-        return isqrt(d), 1
     c, g = 1, gcd(d, _PRIMORIAL)
     for f in _PRIMES:
         if g == 1:
@@ -97,10 +96,6 @@ class QuadSurd:
         # sqrt via a 64-bit-shifted integer root; int / int rounds correctly
         # and raises OverflowError only when the quotient leaves float range
         return ((self.P << 64) + isqrt(self.D << 128)) / (self.Q << 64)
-
-    def floor(self) -> int:
-        # sqrt(D) is irrational, so this is floor((u + f) / Q) with u = P + isqrt(D), 0 < f < 1
-        return (self.P + isqrt(self.D) + (self.Q < 0)) // self.Q
 
     def __str__(self) -> str:
         """(P + c√d)/Q in lowest terms, with c√d = √D and d free of the
@@ -239,19 +234,21 @@ def _check_hyperbolic(mat: Psl2Mat) -> None:
         raise NotHyperbolic(f"{mat} has |trace| <= 2")
 
 
-def fixed_points(mat: Psl2Mat) -> tuple[QuadSurd, QuadSurd]:
-    """The two real fixed points of a hyperbolic matrix, as exact surds.
-
-    Roots of c x^2 + (d - a) x - b = 0 with the content divided out.
-    """
+def _fixed_point_quadratic(mat: Psl2Mat) -> tuple[int, int, int]:
+    """(c', u, D): the fixed points' c x^2 + (d - a) x - b = 0 with its content
+    g > 0 divided out is c' x^2 - u x - b' = 0, of discriminant u^2 + 4 c' b'."""
     _check_hyperbolic(mat)
     if mat.c == 0:
         raise TranslationForm(f"{mat} fixes infinity")
-    ca, cb, cc = mat.c, mat.d - mat.a, -mat.b
-    g = gcd(gcd(abs(ca), abs(cb)), abs(cc))
-    ca, cb, cc = ca // g, cb // g, cc // g
-    disc = cb * cb - 4 * ca * cc
-    return QuadSurd(-cb, 2 * ca, disc), QuadSurd(cb, -2 * ca, disc)
+    g = gcd(mat.c, mat.d - mat.a, mat.b)
+    c, u, b = mat.c // g, (mat.a - mat.d) // g, mat.b // g
+    return c, u, u * u + 4 * c * b
+
+
+def fixed_points(mat: Psl2Mat) -> tuple[QuadSurd, QuadSurd]:
+    """The two real fixed points (u +- sqrt(D)) / 2c' of a hyperbolic matrix."""
+    c, u, disc = _fixed_point_quadratic(mat)
+    return QuadSurd(u, 2 * c, disc), QuadSurd(-u, -2 * c, disc)
 
 
 def far_endpoint(mat: Psl2Mat) -> QuadSurd:
@@ -261,8 +258,8 @@ def far_endpoint(mat: Psl2Mat) -> QuadSurd:
     the content, and |u + sqrt(D)| > |u - sqrt(D)| exactly when u > 0.  So
     the -sqrt branch is farther exactly when d > a, and u = 0 is a tie.
     """
-    plus, minus = fixed_points(mat)
-    return minus if mat.d > mat.a else plus
+    c, u, disc = _fixed_point_quadratic(mat)
+    return QuadSurd(-u, -2 * c, disc) if mat.d > mat.a else QuadSurd(u, 2 * c, disc)
 
 
 def dilatation(mat: Psl2Mat) -> QuadSurd:

@@ -52,6 +52,12 @@ def test_classify_golden_schema(capsys):
     assert json.loads(out) == golden
 
 
+def test_classify_golden_text(capsys):
+    code, out, _ = run(capsys, "classify", "--type", "-11,16")
+    assert code == 0
+    assert out == (DATA / "golden_classify_-11_16.txt").read_text(encoding="utf-8")
+
+
 def test_classify_collision_exits_2(capsys):
     code, out, _ = run(capsys, "classify", "--type", "-5,7", "--json")
     assert code == 2
@@ -361,6 +367,17 @@ def test_plot_rejects_max_denominator_above_100(tmp_path, capsys, max_denominato
     assert code == 1
     assert out == "" and not out_path.exists()
     assert err.startswith("error:") and "--max-denominator" in err and len(err.splitlines()) == 1
+
+
+def test_plot_rejects_halfplane_above_its_edge_cap(tmp_path, capsys):
+    # the axis of (59998,-59999) spans [-2, 40001]: 43 Farey edges per unit
+    # at --max-denominator 8 would write about 180 MB
+    out_path = tmp_path / "h.svg"
+    code, out, err = run(capsys, "plot", "--type", "59998,-59999", "--kind", "halfplane",
+                         "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and "Farey edges" in err and len(err.splitlines()) == 1
 
 
 def test_plot_rejects_csv_halfplane(tmp_path, capsys):

@@ -259,6 +259,14 @@ def _numpy_curve(nt, ratio, t1, steps):
     return ts, RHO * np.exp(-4j * math.pi * nt.m * ts) * (1 + 1j * ratio * osc) / (1 + 1j * ratio / osc)
 
 
+def _sphere_xy_reference(z):
+    # reference: the compression as one complex division, which _sphere_xy
+    # does component by component
+    r = abs(z)
+    w = z / (1.0 + r) if r > 0 else 0j
+    return (500 + 450.0 * w.real, 500 - 450.0 * w.imag)
+
+
 def test_svg_shape_equals_the_numpy_formula(tmp_path):
     out = str(tmp_path / "shape.svg")
     types = enumerate_p0(60)
@@ -268,7 +276,7 @@ def test_svg_shape_equals_the_numpy_formula(tmp_path):
         ts, psis = _numpy_curve(nt, 0.05, 1.0, 6000)
         delta = start_offset(nt)
         assert shapetrace._sample_times(delta, 1.0 + delta, 6000) == ts.tolist()
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(shapetrace._sphere_xy, psis.tolist()))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(_sphere_xy_reference, psis.tolist()))
         assert f'<polyline points="{pts}"' in open(svg_shape(nt, 0.05, 6000, out)).read(), (m, n)
 
 

@@ -231,21 +231,22 @@ def test_cf_expand_with_preperiod():
 def test_cf_negative_q_and_negative_value():
     # negative Q and surds below 1 exercise the exact floor on both signs
     x = QuadSurd(-5, -3, 7)          # (5 - sqrt(7)) / 3, about 0.785
-    assert x.floor() == 0
     cf = cf_expand(x)
+    assert cf.preperiod[0] == 0
     assert cf.period
     assert abs(cf_evaluate(cf, 60) - x.approx()) < 1e-9
     y = QuadSurd(-3, 2, 2)           # (-3 + sqrt(2)) / 2, negative
-    assert y.floor() == -1
     cf = cf_expand(y)
     assert cf.preperiod[0] == -1
     assert abs(cf_evaluate(cf, 60) - y.approx()) < 1e-9
-    # the floor of every small triple, either sign of Q, against its float
+    # the first partial quotient of every small triple, either sign of Q,
+    # is the floor of its float
     for p in range(-12, 13):
         for q in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
             for d in (2, 3, 5, 7, 13):
                 z = QuadSurd(p, q, d)
-                assert z.floor() == math.floor(z.approx()), (p, q, d)
+                cf = cf_expand(z)
+                assert (cf.preperiod + cf.period)[0] == math.floor(z.approx()), (p, q, d)
 
 
 def _cf_by_division(x):
@@ -409,3 +410,32 @@ def test_family_cf_periods_odd_and_matching():
         others = [z for z in (x, y) if z != far]
         assert len(others) == 1
         assert abs(far.approx()) > abs(others[0].approx())
+
+
+def test_report_takes_each_full_size_root_once(monkeypatch):
+    # isqrt is quadratic in the bit length on CPython 3.10 and 3.11, and gcd
+    # on every version, so a report takes one root per value it needs:
+    # building it roots the dilatation's D (the nonsquare check), the far
+    # endpoint's D and the CF's D; printing it roots each printed D once and
+    # the dilatation's D << 128 for its float.  Printing a surd takes two
+    # gcds of its size.
+    m, n = type_of(LevelSlope(1, 3000, 1))
+    mat = build_report(m, n).matrix
+    half = max(abs(mat.a), abs(mat.b), abs(mat.c), abs(mat.d)).bit_length() // 2
+    calls = {"isqrt": 0, "gcd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += any(abs(x).bit_length() > half for x in args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(surd, "isqrt", counted("isqrt", math.isqrt))
+    monkeypatch.setattr(surd, "gcd", counted("gcd", math.gcd))
+    report = build_report(m, n)
+    counts = [dict(calls)]
+    for render in (report.to_json_dict, report.to_text):
+        calls.update(isqrt=0, gcd=0)
+        render()
+        counts.append(dict(calls))
+    assert all(c["isqrt"] <= 3 and c["gcd"] <= 4 for c in counts), counts
