@@ -51,7 +51,12 @@ def reduce_frieze(word: str) -> str:
     The result alternates factors, and a word that already alternates is
     returned as it is.
     """
-    factors = check_frieze(word).translate(_FACTOR_DIGIT)
+    return _reduce(check_frieze(word))
+
+
+def _reduce(word: str) -> str:
+    """reduce_frieze on a word known to be over p,b,q,d."""
+    factors = word.translate(_FACTOR_DIGIT)
     if "00" not in factors and "11" not in factors:
         return word
     stack: list[tuple[int, int]] = []
@@ -64,6 +69,21 @@ def reduce_frieze(word: str) -> str:
         if exp != 0:
             stack.append((fac, exp))
     return "".join(_LETTER[item] for item in stack)
+
+
+def reduce_two_letter(word: str, x: str, y: str) -> str:
+    """Reduced form of a word over one letter x of each free factor.
+
+    One pass deletes the cubes xxx, yyy and merges the squares xx, yy into
+    x^-1, y^-1: group identities, so the element stays.  With no cube the
+    runs of x and y alternate and are at most 2 long, so the result
+    alternates; otherwise reduce_frieze's scan reduces the nested cubes
+    in one linear pass, not one pass per level of nesting.
+    """
+    cube_free = word.replace(x * 3, "").replace(y * 3, "")
+    xx, yy = (x + y).translate(_INVERSE)
+    merged = cube_free.replace(x + x, xx).replace(y + y, yy)
+    return merged if len(cube_free) == len(word) else _reduce(merged)
 
 
 def frieze_inverse(word: str) -> str:
@@ -238,8 +258,6 @@ def trace_class(mat: Psl2Mat) -> str:
 
 
 _AB_SET = frozenset("AB")
-_B_LETTER = str.maketrans("B", "p")
-_ODD_PARITY = str.maketrans("pb", "qd")
 
 
 def check_ab(word: str) -> str:
@@ -257,16 +275,16 @@ def ab_to_matrix(word: str) -> Psl2Mat:
 def ab_to_frieze(word: str) -> str:
     """Translate an A/B word with evenly many A's into a reduced pbqd-word.
 
-    B at even parity of the A's before it gives p, B^-1 = BB gives b; at
-    odd parity they give q and d.  Splitting the word at its A's, with BB
-    and B written b and p, puts the odd-parity pieces at the odd indices.
+    Each B is p at even parity of the A's before it and q at odd parity,
+    so B^-1 = BB gives pp = b or qq = d.  Splitting the word at its A's
+    puts the odd-parity pieces at the odd indices.
     """
-    pieces = check_ab(word).replace("BB", "b").translate(_B_LETTER).split("A")
+    pieces = check_ab(word).split("A")
     if len(pieces) % 2 == 0:
         raise OddACount(f"odd number of A's in {word}")
     if len(pieces) > 1:
-        pieces[1::2] = "A".join(pieces[1::2]).translate(_ODD_PARITY).split("A")
-    reduced = reduce_frieze("".join(pieces))
+        pieces[1::2] = "A".join(pieces[1::2]).replace("B", "q").split("A")
+    reduced = reduce_two_letter("".join(pieces).replace("B", "p"), "p", "q")
     if frieze_to_matrix(reduced) != ab_to_matrix(word):
         raise InvariantError(f"translation of {word} lost group equality")
     return reduced

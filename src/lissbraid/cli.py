@@ -167,19 +167,19 @@ def cmd_plot(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # json.dumps's rows in one write; level_slope_of checks primitivity
     _check_bounds(args)
     if args.max_m is not None:
-        rows = [{"m": m, "n": n, **level_slope_of(m, n).to_json_dict()}
-                for m, n in enumerate_p0(args.max_m)]
+        rows = [f'{{"m": {m}, "n": {n}, "level": {ls.level}, "slope": "{ls.q}/{ls.p}"}}\n'
+                for m, n in enumerate_p0(args.max_m) for ls in [level_slope_of(m, n)]]
     elif args.max_sum is not None:
-        rows = [{**label.to_json_dict(), **dict(zip("mn", type_of(label)))}
-                for label in enumerate_labels(args.max_sum, args.max_level)]
+        rows = [f'{{"level": {ls.level}, "slope": "{ls.q}/{ls.p}", "m": {m}, "n": {n}}}\n'
+                for ls in enumerate_labels(args.max_sum, args.max_level) for m, n in [type_of(ls)]]
     else:
         raise LissbraidError("enumerate wants --max-m or --max-sum")
     if not rows:
         raise LissbraidError("the bounds select no types")
-    for row in rows:
-        print(json.dumps(row))
+    sys.stdout.write("".join(rows))
     return 0
 
 

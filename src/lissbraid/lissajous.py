@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .algebra import reduce_two_letter
 from .errors import CollisionType, DivisibleByThree, NotCoprime
-
-
-def _sgn(x: int) -> int:
-    return 1 if x > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -73,13 +70,14 @@ def _bits(nt: NormalizedType, count: int):
     if gcd(am, al) != 1:
         raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
     xs = range(al, al * (2 * count + 1), 2 * al)
-    return _sgn(nt.m * nt.ell), map((2 * am).__le__, map((4 * am).__rmod__, xs))
+    return (1 if nt.m * nt.ell > 0 else -1), map((2 * am).__le__, map((4 * am).__rmod__, xs))
 
 
-def _signs(nt: NormalizedType, count: int) -> tuple[int, ...]:
-    """The first count entries of the sign form s * (2*bits[k] - 1)."""
+def _sign_word(nt: NormalizedType, count: int, minus: str, plus: str) -> str:
+    """The first count signs s * (2*bits[k] - 1), -1 as minus and +1 as plus."""
     s, bits = _bits(nt, count)
-    return tuple(map((-s, s).__getitem__, bits))
+    low, high = (minus, plus) if s == 1 else (plus, minus)
+    return bytes(bits).translate(bytes.maketrans(b"\0\1", (low + high).encode())).decode()
 
 
 def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
@@ -92,27 +90,22 @@ def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
     return tuple(map(int, _bits(nt, 2 * abs(nt.m))[1]))
 
 
-# (e_i, e_{i+1}) -> B^{e_i} A^{(e_i - e_{i+1})/2}, with B^-1 written BB
-_AB_STEP = {(1, 1): "B", (1, -1): "BA", (-1, -1): "BB", (-1, 1): "BBA"}
-
-
 def build_W(nt: NormalizedType) -> str:
     """The braid word of one third of the motion's period, in A and B:
 
         A^{(1 - sgn(m) e_1)/2} B^{e_1} A^{(e_1-e_2)/2} ... B^{e_k} A^{(1 - sgn(m) e_k)/2}
 
-    over the k = 2|m| signs e_i of the epsilon sequence.
+    over the k = 2|m| signs e_i of the epsilon sequence.  A^{+-1} = A, so
+    an A stands at each sign change; B^-1 is written BB.  e_{|m|+i} = -e_i,
+    since x / 2|m| in _bits grows by the odd |ell| over |m| steps.
     """
-    signs, sgn_m = _signs(nt, 2 * abs(nt.m)), _sgn(nt.m)
-    head = "A" if sgn_m * signs[0] == -1 else ""
-    steps = map(_AB_STEP.__getitem__, zip(signs, signs[1:]))
-    last = "B" if signs[-1] == 1 else "BB"
-    tail = "A" if sgn_m * signs[-1] == -1 else ""
-    return "".join((head, *steps, last, tail))
-
-
-# sgn(m) -> (letter x of B^{+1}, letter y of B^{-1}, x^2, y^2)
-_H_LETTERS = {1: ("p", "d", "b", "q"), -1: ("q", "b", "d", "p")}
+    half = _sign_word(nt, abs(nt.m), "b", "B")
+    signs = half + half.swapcase()
+    minus_m = "b" if nt.m > 0 else "B"   # the sign e with sgn(m) e = -1
+    head = "A" if signs[0] == minus_m else ""
+    tail = "A" if signs[-1] == minus_m else ""
+    body = signs.replace("Bb", "BAb").replace("bB", "bAB").replace("b", "BB")
+    return head + body + tail
 
 
 def build_H(nt: NormalizedType) -> str:
@@ -128,29 +121,11 @@ def build_H(nt: NormalizedType) -> str:
     +1 and y = b for -1 when m < 0.  The half of the epsilon sequence is
     a palindrome, so e_{|m|} = e_1, the sign changes are even in number
     and the tail A matches the head A: the A count is even, as the
-    translation needs.
-
-    The word over x, y is then reduced without a per-letter scan.  x and
-    y lie in different free factors and have order 3, so the group is
-    presented on this word by the rules xxx -> empty and yyy -> empty.
-    Both shorten the word, so every rewriting terminates; the only ways
-    two rule applications overlap are x^4 and y^4, and deleting either
-    cube of xxxx leaves x, alike.  So the system is locally confluent,
-    hence confluent (Newman's lemma), and deleting cubes in any order
-    reaches the same cube-free word; str.replace deletes disjoint cubes,
-    and the loop runs until none is left.  A cube-free word over x, y is
-    runs of length 1 or 2 that alternate between the factors, so merging
-    the squares (x^2 = b, y^2 = q for m > 0; d, p for m < 0) gives an
-    alternating word, which is the unique normal form of its element.
+    translation needs.  x and y lie in different free factors, so
+    reduce_two_letter reduces the word over them.
     """
-    x, y, xx, yy = _H_LETTERS[_sgn(nt.m)]
-    s, bits = _bits(nt, abs(nt.m))
-    low, high = (y, x) if s == 1 else (x, y)
-    word = bytes(bits).translate(bytes.maketrans(b"\0\1", (low + high).encode())).decode()
-    x3, y3 = x * 3, y * 3
-    while x3 in word or y3 in word:
-        word = word.replace(x3, "").replace(y3, "")
-    return word.replace(x + x, xx).replace(y + y, yy)
+    x, y = ("p", "d") if nt.m > 0 else ("q", "b")
+    return reduce_two_letter(_sign_word(nt, abs(nt.m), y, x), x, y)
 
 
 def is_primitive(m: int, n: int) -> bool:

@@ -94,7 +94,14 @@ class QuadSurd:
 
     def approx(self) -> float:
         # sqrt via a 64-bit-shifted integer root; int / int rounds correctly
-        # and raises OverflowError only when the quotient leaves float range
+        # and raises OverflowError only when the quotient leaves float range,
+        # raised before the root when bit lengths give |P + sqrt(D)| >= 2**e
+        # with e >= |Q|.bit_length() + 1024: 2**r <= sqrt(D) < 2**(r+1) and
+        # 2**(k-1) <= |P| < 2**k; a negative P needs a term 2 bits ahead
+        k, r = abs(self.P).bit_length(), (self.D.bit_length() - 1) // 2
+        e = max(k - 1, r) if self.P >= 0 else r - 1 if r > k else k - 2 if k > r + 2 else 0
+        if e - abs(self.Q).bit_length() >= 1024:
+            raise OverflowError("integer division result too large for a float")
         return ((self.P << 64) + isqrt(self.D << 128)) / (self.Q << 64)
 
     def __str__(self) -> str:

@@ -245,6 +245,19 @@ def test_enumerate_labels(capsys):
     assert {r["slope"] for r in rows} == {"0/1", "1/4", "2/3", "3/2", "4/1"}
 
 
+def test_enumerate_prints_json_dumps_rows(capsys):
+    # byte for byte the lines json.dumps gives the row dicts, on both paths
+    from lissbraid.classify import enumerate_labels, enumerate_p0
+
+    types = [json.dumps({"m": m, "n": n, **level_slope_of(m, n).to_json_dict()})
+             for m, n in enumerate_p0(200)]
+    labels = [json.dumps({**ls.to_json_dict(), **dict(zip("mn", type_of(ls)))})
+              for ls in enumerate_labels(40, 6)]
+    for argv, rows in ((["--max-m", "200"], types), (["--max-sum", "40", "--max-level", "6"], labels)):
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0 and len(rows) > 500 and out == "".join(row + "\n" for row in rows)
+
+
 def test_enumerate_needs_a_bound(capsys):
     # bounds that select nothing are input errors too, as in verify
     # and bounds above the caps, checked before anything is built

@@ -3,12 +3,12 @@ from math import gcd
 
 import pytest
 
-from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w, reduce_frieze
+from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w, reduce_frieze, reduce_two_letter
 from lissbraid.classify import enumerate_p0
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
     NormalizedType,
-    _signs,
+    _bits,
     build_H,
     build_W,
     epsilon_seq,
@@ -252,6 +252,12 @@ def test_is_primitive_examples():
 
 # --- the per-letter kernels, kept as the reference ---------------------------
 
+def _signs(nt, count):
+    """The first count entries of the sign form s * (2*bits[k] - 1)."""
+    s, bits = _bits(nt, count)
+    return tuple(map((-s, s).__getitem__, bits))
+
+
 def _signs_by_loop(nt):
     """Reference: epsilon_seq's bits and _signs's signs over 2|m|, per index."""
     am, al = abs(nt.m), abs(nt.ell)
@@ -306,8 +312,63 @@ def test_word_kernels_equal_per_letter_loops():
         assert ab_to_frieze(w_word) == _frieze_by_parity_scan(w_word), nt
 
 
+def test_build_W_equals_per_letter_loop_for_both_signs_of_m():
+    # the sign string's A insertion at both orders of a sign change and the
+    # head and tail A, for m of either sign; kernels take any coprime m, odd ell
+    cases = [(m, ell) for m in (1, -1, 2, -2, 4, -4) for ell in range(-13, 14, 2)
+             if gcd(m, ell) == 1]
+    cases += [(1003, -667), (-1003, 667)]
+    for m, ell in cases:
+        nt = NormalizedType(m, m - 3 * ell, ell)
+        signs = _signs_by_loop(nt)[1]
+        assert build_W(nt) == _ab_by_loop(signs, 1 if m > 0 else -1, False), nt
+    assert {_signs_by_loop(NormalizedType(m, m - 3 * ell, ell))[1][0] * m > 0
+            for m, ell in cases} == {True, False}
+
+
+def _nested(depth, rng, x="p", y="q"):
+    """A word over x, y whose cube deletion nests depth levels deep:
+    each level wraps the word in u^a ... u^(3-a), u alternating x, y."""
+    word = y * 3
+    for level in range(depth):
+        u, a = (x, y)[level % 2], rng.randrange(1, 3)
+        word = u * a + word + u * (3 - a)
+    return word
+
+
+def _ab_of(pq_word):
+    """The A/B word whose parity translation is this p/q word."""
+    ab = pq_word.replace("pq", "pAq").replace("qp", "qAp").replace("p", "B").replace("q", "B")
+    return ("A" if pq_word[:1] == "q" else "") + ab + ("A" if pq_word[-1:] == "q" else "")
+
+
+def test_ab_to_frieze_on_deeply_nested_words():
+    rng = random.Random(17)
+    for depth in (10**4, 10**4 + 1):
+        head = "".join(rng.choice("pq") for _ in range(40))
+        tail = "".join(rng.choice("pq") for _ in range(40))
+        word = _ab_of(head + _nested(depth, rng) + tail)
+        once = _nested(depth, rng).replace("ppp", "").replace("qqq", "")
+        assert len(once) == 3 * depth and ("ppp" in once or "qqq" in once)
+        assert ab_to_frieze(word) == _frieze_by_parity_scan(word) != ""
+        assert ab_to_frieze(_ab_of(_nested(depth, rng))) == ""
+
+
+def test_reduce_two_letter_equals_reduce_frieze():
+    rng = random.Random(19)
+    for x in "pb":
+        for y in "qd":
+            for length in list(range(12)) * 20 + [rng.randrange(12, 400) for _ in range(200)]:
+                word = "".join(rng.choice((x, y)) for _ in range(length))
+                assert reduce_two_letter(word, x, y) == reduce_frieze(word), word
+            for depth in (1, 2, 3, 50, 3000):
+                word = rng.choice((x, y, "")) + _nested(depth, rng, x, y) + rng.choice((x, y, ""))
+                assert reduce_two_letter(word, x, y) == reduce_frieze(word)
+
+
 def _cube_rounds(signs):
-    """Passes of cube deletion that build_H makes on these signs."""
+    """Passes of repeated cube deletion these signs need: the nesting depth
+    of their cubes."""
     word, rounds = "".join("x" if e == 1 else "y" for e in signs), 0
     while "xxx" in word or "yyy" in word:
         word, rounds = word.replace("xxx", "").replace("yyy", ""), rounds + 1
@@ -334,7 +395,7 @@ def test_build_H_equals_parity_scan_on_large_types():
 
 
 def test_primitive_sign_words_have_no_cube():
-    # so on these types build_H's deletion loop never runs
+    # so on these types build_H's reduction returns at its no-cube test
     types = list(enumerate_p0(200))
     assert len(types) == 2042
     for m, n in types:

@@ -125,6 +125,45 @@ def test_quadsurd_approx_equals_fraction_rounding():
     assert 50 < outcomes.count(OverflowError) < 350
 
 
+def _near_power(rng, bits):
+    """A positive integer of the given bit length, often at an end of its range."""
+    low = 1 << (bits - 1)
+    return rng.choice((low, low + 1, 2 * low - 1, low + rng.getrandbits(bits - 1),
+                       2 * low - 1 - rng.getrandbits(rng.randrange(bits))))
+
+
+def test_approx_decides_overflow_from_bit_lengths(monkeypatch):
+    # canonical triples (P, Q, D) = (-b, 2a, b^2 - 4ac) whose bit lengths put
+    # |P + sqrt(D)| / |Q| within a few bits of 2**1024, with both signs of P
+    # and of Q and P near -sqrt(D): approx equals the reference, and with
+    # P >= 0 a value of 2**1026 |Q|-bits or more raises before it roots D
+    rng = random.Random(43)
+    roots = []
+    monkeypatch.setattr(surd, "isqrt", lambda n: roots.append(n) or math.isqrt(n))
+    outcomes, skipped = [], 0
+    while len(outcomes) < 3000:
+        q = 2 * rng.choice((-1, 1)) * _near_power(rng, rng.randrange(1, 40))
+        r = abs(q).bit_length() + rng.randrange(1021, 1028)
+        p = rng.choice((-1, 1)) * _near_power(rng, r + 1 + rng.randrange(-4, 5))
+        root = _near_power(rng, r + 1)
+        d = p * p - 2 * q * ((p * p - root * root) // (2 * q))
+        if d <= 0 or math.isqrt(d) ** 2 == d or math.gcd(q // 2, p, (p * p - d) // (2 * q)) != 1:
+            continue
+        x = QuadSurd(p, q, d)
+        assert (x.P, x.Q, x.D) == (p, q, d)
+        roots.clear()
+        try:
+            outcomes.append(x.approx())
+        except OverflowError:
+            outcomes.append(OverflowError)
+        assert outcomes[-1] == _fraction_approx(x), x
+        size = ((p << 64) + math.isqrt(d << 128)).bit_length() - 64 - abs(q).bit_length()
+        if p >= 0 and size >= 1026:
+            assert outcomes[-1] is OverflowError and not roots, x
+            skipped += 1
+    assert skipped > 100 and 500 < outcomes.count(OverflowError) < 2500
+
+
 def test_fixed_points_examples():
     plus, minus = fixed_points(W45)
     assert {plus, minus} == {QuadSurd(3, 2, 13), QuadSurd(-3, -2, 13)}
