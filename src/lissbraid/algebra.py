@@ -14,7 +14,7 @@ integer matrices of determinant 1 up to sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError, NotPalindromic, OddACount
 
@@ -127,30 +127,21 @@ def cyclically_equal(w1: str, w2: str) -> bool:
     return v in u + u
 
 
-@dataclass(frozen=True)
-class Psl2Mat:
+class Psl2Mat(namedtuple("Psl2Mat", "a b c d")):
     """Sign-normalized 2x2 integer matrix of determinant 1.
 
     The representative of {M, -M} with the first nonzero entry of
     (a, b, c, d) positive, so instances are canonical and hashable.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant is not 1: {(self.a, self.b, self.c, self.d)}")
-        for entry in (self.a, self.b, self.c, self.d):
-            if entry != 0:
-                if entry < 0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                    object.__setattr__(self, "c", -self.c)
-                    object.__setattr__(self, "d", -self.d)
-                break
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant is not 1: {(a, b, c, d)}")
+        if (a or b or c or d) < 0:  # the first nonzero entry
+            a, b, c, d = -a, -b, -c, -d
+        return tuple.__new__(cls, (a, b, c, d))
 
     @classmethod
     def identity(cls) -> "Psl2Mat":
@@ -188,8 +179,7 @@ LETTER_MATS = {
 }
 
 
-_ENTRIES = {ch: (m.a, m.b, m.c, m.d) for ch, m in LETTER_MATS.items()}
-_ENTRIES.update(A=(A_MAT.a, A_MAT.b, A_MAT.c, A_MAT.d), B=_ENTRIES["p"])
+_ENTRIES = dict(LETTER_MATS, A=A_MAT, B=LETTER_MATS["p"])  # (a, b, c, d) tuples
 _CHUNK = 4
 
 

@@ -14,7 +14,7 @@ conjugate of the Christoffel word of slope q/p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import InvalidLabel, NotPrimitive
@@ -22,21 +22,20 @@ from .lissajous import is_primitive
 from .words import palindromic_christoffel, radius_blocks, varphi_n
 
 
-@dataclass(frozen=True)
-class LevelSlope:
+class LevelSlope(namedtuple("LevelSlope", "level p q")):
     """Classification label: level N >= 1 and slope q/p >= 0."""
 
-    level: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1 or self.p < 1 or self.q < 0:
+    def __new__(cls, level: int, p: int, q: int):
+        self = tuple.__new__(cls, (level, p, q))
+        if level < 1 or p < 1 or q < 0:
             raise InvalidLabel(f"bad label ranges: {self}")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise InvalidLabel(f"gcd(p, q) != 1: {self}")
-        if gcd(self.p + self.q, 6) != 1:
+        if gcd(p + q, 6) != 1:
             raise InvalidLabel(f"gcd(p + q, 6) != 1: {self}")
+        return self
 
     @property
     def slope_str(self) -> str:
@@ -49,8 +48,7 @@ class LevelSlope:
         return f"(N={self.level}, {self.slope_str})"
 
 
-@dataclass(frozen=True)
-class ClusterSeq:
+class ClusterSeq(namedtuple("ClusterSeq", "radii letters")):
     """Palindromic radii in {N, N+1} and the induced cluster word.
 
     The word is a concatenation of blocks (xy)^(r-1) x, alternating
@@ -59,8 +57,7 @@ class ClusterSeq:
     through (x, y) = (d, b), (p, q) or through (b, d), (q, p).
     """
 
-    radii: tuple[int, ...]
-    letters: str
+    __slots__ = ()
 
 
 def level_slope_of(m: int, n: int) -> LevelSlope:
@@ -84,7 +81,7 @@ def type_of(label: LevelSlope) -> tuple[int, int]:
     |m| = p + q (mod 3), ell is odd because p + q is, and
     gcd(|m|, |n|) = gcd(3q, p + q) = 1.
     """
-    level, p, q = label.level, label.p, label.q
+    level, p, q = label
     big_m = p * (3 * level - 2) + q * (3 * level + 1)
     big_l = p * (2 * level - 1) + q * (2 * level + 1)
     s = 1 if big_m % 3 == 1 else -1

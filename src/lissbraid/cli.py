@@ -13,7 +13,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import re
 import sys
@@ -25,7 +24,9 @@ from .lissajous import is_collision_free, normalize, reduce_to_p0
 from .report import Report, build_report, collision_report_dict
 from .shapetrace import csv_shape, svg_halfplane, svg_shape
 from .syzygy import omega, syzygy_sequence
-from .verify import SUITES
+
+# the names of verify.SUITES, so that only `verify` imports the suites
+_SUITE_NAMES = ("bijection", "cf", "cluster", "collision", "epsilon", "syzygy")
 
 # caps on what one command builds, so that a huge request is an input
 # error rather than a MemoryError; 10**6 plot steps write a 14 MB SVG
@@ -178,12 +179,15 @@ def cmd_enumerate(args) -> int:
     else:
         raise LissbraidError("enumerate wants --max-m or --max-sum")
     if not rows:
-        raise LissbraidError("the bounds select no types")
+        raise LissbraidError(f"the bounds select no {'labels' if args.max_m is None else 'types'}")
     sys.stdout.write("".join(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
+    import inspect  # these two load only for verify
+    from .verify import SUITES
+
     suite = SUITES[args.suite]
     _check_bounds(args)
     bounds = {"max_m": args.max_m, "max_sum": args.max_sum, "max_level": args.max_level}
@@ -250,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a cross-validation suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=_SUITE_NAMES, required=True)
     p.add_argument("--max-m", type=int)
     p.add_argument("--max-sum", type=int)
     p.add_argument("--max-level", type=int)

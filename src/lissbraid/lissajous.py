@@ -12,20 +12,17 @@ a pbqd-word straight from the first |m| signs of that sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .algebra import reduce_two_letter
 from .errors import CollisionType, DivisibleByThree, NotCoprime
 
 
-@dataclass(frozen=True)
-class NormalizedType:
+class NormalizedType(namedtuple("NormalizedType", "m n ell")):
     """A type with both residues 1 mod 3, plus ell = (m - n) / 3."""
 
-    m: int
-    n: int
-    ell: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "ell": self.ell}

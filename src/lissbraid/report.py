@@ -8,31 +8,24 @@ echoed input pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import Psl2Mat, frieze_w, trace_class
-from .classify import LevelSlope, level_slope_of
+from .algebra import frieze_w, trace_class
+from .classify import level_slope_of
 from .lissajous import NormalizedType, build_H, normalize, reduce_to_p0
-from .surd import CfExpansion, QuadSurd, cf_expand, dilatation, far_endpoint
+from .surd import cf_expand, dilatation, far_endpoint
 from .syzygy import omega, syzygy_sequence
 
 
-@dataclass(frozen=True)
-class Report:
-    input_type: tuple[int, int]
-    normalized: NormalizedType
-    p0: tuple[int, int]
-    label: LevelSlope
-    frieze_h: str
-    frieze_w: str
-    matrix: Psl2Mat
-    trace: int
-    trace_class: str
-    dilatation_exact: QuadSurd
-    far_endpoint: QuadSurd
-    cf: CfExpansion
-    omega: str
-    syzygy_period: str
+_FIELDS = ("input_type normalized p0 label frieze_h frieze_w matrix trace trace_class "
+           "dilatation_exact far_endpoint cf omega syzygy_period")
+
+
+class Report(namedtuple("Report", _FIELDS)):
+    """The fields of one class: a LevelSlope label, pbqd words H and W,
+    their Psl2Mat, two QuadSurd values and a CfExpansion."""
+
+    __slots__ = ()
 
     @property
     def dilatation_approx(self) -> float | None:

@@ -10,7 +10,7 @@ and print alike; the printed d is free of the squares of primes up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt, prod
 
 from .algebra import Psl2Mat, trace_class
@@ -63,20 +63,16 @@ def _split_square(d: int) -> tuple[int, int]:
     return c, d
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(namedtuple("QuadSurd", "P Q D")):
     """The real quadratic irrational (P + sqrt(D)) / Q, stored as its one
     canonical triple: (-b, 2a, b^2 - 4ac) for the primitive minimal
     polynomial a x^2 + b x + c, with the sign of a picking the root.  So
-    equal values have equal fields, and the dataclass's own == and hash
-    are exact."""
+    equal values have equal fields, and == and hash are exact."""
 
-    P: int
-    Q: int
-    D: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q, d = self.P, self.Q, self.D
+    def __new__(cls, P: int, Q: int, D: int):
+        p, q, d = P, Q, D
         if q == 0:
             raise ValueError("Q must be nonzero")
         if d <= 0 or _is_square(d):
@@ -88,9 +84,7 @@ class QuadSurd:
             p, q, d = p * abs(q), q * abs(q), d * q * q
         # the value is a root of q x^2 - 2p x + r; divide out its content
         g = gcd(q, 2 * p, r)
-        object.__setattr__(self, "P", 2 * p // g)
-        object.__setattr__(self, "Q", 2 * q // g)
-        object.__setattr__(self, "D", 4 * d // (g * g))
+        return tuple.__new__(cls, (2 * p // g, 2 * q // g, 4 * d // (g * g)))
 
     def approx(self) -> float:
         # sqrt via a 64-bit-shifted integer root; int / int rounds correctly
@@ -123,12 +117,10 @@ class QuadSurd:
         return body if q == 1 else f"({body})/{q}"
 
 
-@dataclass(frozen=True)
-class CfExpansion:
+class CfExpansion(namedtuple("CfExpansion", "preperiod period")):
     """Eventually periodic continued fraction: preperiod then minimal cycle."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
@@ -170,7 +162,7 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     a - 1, t mod Q = divmod(t, Q).  Q' needs no multiply when a = 1.
     (u, Q) determines (P, Q), so the cycle closes when (u, Q) comes back.
     """
-    p, q, d = x.P, x.Q, x.D
+    p, q, d = x
     q_prev, rem = divmod(d - p * p, q)
     if rem:
         raise InvariantError(f"{x!r} violates Q | D - P^2")

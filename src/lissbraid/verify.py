@@ -7,8 +7,8 @@ one line per case and fails the run when any case fails.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from math import gcd
-from typing import Callable
 
 from .algebra import A_MAT, ab_to_frieze, cyclically_equal, frieze_w
 from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of

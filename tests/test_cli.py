@@ -261,13 +261,17 @@ def test_enumerate_prints_json_dumps_rows(capsys):
 def test_enumerate_needs_a_bound(capsys):
     # bounds that select nothing are input errors too, as in verify
     # and bounds above the caps, checked before anything is built
-    for bounds in ([], ["--max-m", "0"], ["--max-sum", "5", "--max-level", "0"],
-                   ["--max-m", "100000"], ["--max-sum", "100000", "--max-level", "10"],
-                   ["--max-sum", "5", "--max-level", "31"]):
+    for bounds, reason in (
+            ([], "enumerate wants --max-m or --max-sum"),
+            (["--max-m", "0"], "the bounds select no types"),
+            (["--max-sum", "5", "--max-level", "0"], "the bounds select no labels"),
+            (["--max-m", "100000"], "--max-m must be at most 2000, got 100000"),
+            (["--max-sum", "100000", "--max-level", "10"], "--max-sum must be at most 200, got 100000"),
+            (["--max-sum", "5", "--max-level", "31"], "--max-level must be at most 30, got 31")):
         code, out, err = run(capsys, "enumerate", *bounds)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err == f"error: LissbraidError: {reason}\n"
 
 
 def test_verify_suite_pass(capsys):

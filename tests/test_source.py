@@ -6,6 +6,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from lissbraid import cli, verify
+from lissbraid.algebra import Psl2Mat
+from lissbraid.classify import LevelSlope, clusters_of
+from lissbraid.errors import InvalidLabel
+from lissbraid.report import build_report
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lissbraid"
 
 
@@ -50,6 +58,52 @@ def test_numpy_is_loaded_only_by_the_float_code():
         "epsilon_oracle(normalize(4, -5))\n"
         "print('numpy' in sys.modules)\n"
     ) == ["False", "0", "False", "0", "0", "False", "True"]
+
+
+def test_cli_import_leaves_verify_and_dataclasses_unloaded():
+    # shapetrace stays a top-level import of the CLI: the benchmark's span
+    # tracer wraps only the modules loaded once lissbraid.cli is imported,
+    # so a lazy shapetrace would drop the figure spans of a traced run
+    assert _fresh_interpreter(
+        "import sys, lissbraid.cli\n"
+        "print(*(name in sys.modules for name in\n"
+        "        ('dataclasses', 'inspect', 'lissbraid.verify', 'lissbraid.shapetrace')))\n"
+    ) == ["False", "False", "False", "True"]
+    assert cli._SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_value_types_keep_their_semantics():
+    report = build_report(4, -5)
+    values = [report.normalized, report.matrix, report.label, clusters_of(LevelSlope(1, 3, 2)),
+              report.far_endpoint, report.cf, report]
+    assert [type(v).__name__ for v in values] == [
+        "NormalizedType", "Psl2Mat", "LevelSlope", "ClusterSeq", "QuadSurd", "CfExpansion", "Report"]
+    for value in values:
+        twin = type(value)(**value._asdict())  # the field names are the keywords
+        assert twin is not value and twin == value and hash(twin) == hash(value) == hash(tuple(value))
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    assert repr(report) == (
+        "Report(input_type=(4, -5), normalized=NormalizedType(m=4, n=-5, ell=3), p0=(4, -5), "
+        "label=LevelSlope(level=2, p=1, q=0), frieze_h='dbd', frieze_w='dbdpqp', "
+        "matrix=Psl2Mat(a=10, b=3, c=3, d=1), trace=11, trace_class='hyperbolic', "
+        "dilatation_exact=QuadSurd(P=11, Q=2, D=117), far_endpoint=QuadSurd(P=3, Q=2, D=13), "
+        "cf=CfExpansion(preperiod=(), period=(3,)), omega='+-+', "
+        "syzygy_period='131323212131323212')")
+    assert repr(values[3]) == "ClusterSeq(radii=(1, 2, 1, 2, 1), letters='bqpqbqpqb')"
+    # the constructors check and normalize as before; a value also equals
+    # the plain tuple of its fields
+    assert Psl2Mat(0, -1, 1, 0) == (0, 1, -1, 0)
+    with pytest.raises(ValueError, match=r"^determinant is not 1: \(1, 0, 0, 2\)$"):
+        Psl2Mat(1, 0, 0, 2)
+    for label, message in (((0, 1, 0), "bad label ranges: (N=0, 0/1)"),
+                           ((1, 2, 2), "gcd(p, q) != 1: (N=1, 2/2)"),
+                           ((1, 2, 1), "gcd(p + q, 6) != 1: (N=1, 1/2)")):
+        with pytest.raises(InvalidLabel) as info:
+            LevelSlope(*label)
+        assert str(info.value) == message
 
 
 def test_bench_tracer_targets_resolve():

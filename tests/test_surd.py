@@ -385,8 +385,7 @@ def test_split_square_equals_trial_division_by_every_f():
 
 
 def test_cf_expand_rejects_unnormalized_state():
-    x = QuadSurd(3, 2, 13)
-    object.__setattr__(x, "Q", 3)  # 3 does not divide 13 - 9
+    x = tuple.__new__(QuadSurd, (3, 3, 13))  # 3 does not divide 13 - 9
     with pytest.raises(InvariantError):
         cf_expand(x)
 
