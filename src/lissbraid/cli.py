@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 usage/input error (including an empty verify or
-enumerate selection, a verify bound the suite does not take, plot steps
+enumerate selection, a verify bound the suite does not take, an
+enumerate --max-m given with --max-sum or --max-level, plot steps
 or syzygy periods above their caps, a syzygy output or a report whose
 syzygy word is above 10**7 letters, --max-m above 2000, --max-sum above
 200 or --max-level above 30, a plot --kind shape type whose 600 |m ell|
@@ -19,7 +20,7 @@ import sys
 from contextlib import contextmanager
 
 from .classify import LevelSlope, enumerate_labels, enumerate_p0, level_slope_of, type_of
-from .errors import CollisionType, LissbraidError
+from .errors import LissbraidError
 from .lissajous import is_collision_free, normalize, reduce_to_p0
 from .report import Report, build_report, collision_report_dict
 from .shapetrace import csv_shape, svg_halfplane, svg_shape
@@ -153,8 +154,6 @@ def cmd_plot(args) -> int:
         raise LissbraidError("--format csv needs --kind shape; the half-plane figure is SVG only")
     nt = normalize(m, n)
     if args.kind == "shape":
-        if not is_collision_free(m, n):
-            raise CollisionType(f"type {(m, n)} is not collision-free")
         if args.format == "csv":
             path = csv_shape(nt, args.ratio, args.steps, args.out)
         else:
@@ -171,11 +170,14 @@ def cmd_enumerate(args) -> int:
     # json.dumps's rows in one write; level_slope_of checks primitivity
     _check_bounds(args)
     if args.max_m is not None:
+        if args.max_sum is not None or args.max_level is not None:
+            raise LissbraidError("enumerate takes --max-m alone, or --max-sum with --max-level")
         rows = [f'{{"m": {m}, "n": {n}, "level": {ls.level}, "slope": "{ls.q}/{ls.p}"}}\n'
                 for m, n in enumerate_p0(args.max_m) for ls in [level_slope_of(m, n)]]
     elif args.max_sum is not None:
+        max_level = 10 if args.max_level is None else args.max_level
         rows = [f'{{"level": {ls.level}, "slope": "{ls.q}/{ls.p}", "m": {m}, "n": {n}}}\n'
-                for ls in enumerate_labels(args.max_sum, args.max_level) for m, n in [type_of(ls)]]
+                for ls in enumerate_labels(args.max_sum, max_level) for m, n in [type_of(ls)]]
     else:
         raise LissbraidError("enumerate wants --max-m or --max-sum")
     if not rows:
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream types or labels as JSON lines")
     p.add_argument("--max-m", type=int)
     p.add_argument("--max-sum", type=int)
-    p.add_argument("--max-level", type=int, default=10)
+    p.add_argument("--max-level", type=int, help="with --max-sum; default 10")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a cross-validation suite")

@@ -119,7 +119,9 @@ def build_H(nt: NormalizedType) -> str:
     a palindrome, so e_{|m|} = e_1, the sign changes are even in number
     and the tail A matches the head A: the A count is even, as the
     translation needs.  x and y lie in different free factors, so
-    reduce_two_letter reduces the word over them.
+    reduce_two_letter reduces the word over them.  A primitive type's sign
+    word has no cube: |ell|/|m| lies in (2/3, 1], so floor(|ell|(2k-1)/2|m|)
+    steps by 0 or 1 and never by 0 twice: no three equal signs in a row.
     """
     x, y = ("p", "d") if nt.m > 0 else ("q", "b")
     return reduce_two_letter(_sign_word(nt, abs(nt.m), y, x), x, y)

@@ -210,22 +210,16 @@ def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:
     return value
 
 
-def _primitive_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(seq)
-    for length in range(1, n + 1):
-        if n % length == 0 and seq == seq[:length] * (n // length):
-            return seq[:length]
-    return seq
-
-
 def matches_cluster_period(cf: CfExpansion, radii) -> bool:
-    """Whether the CF period and (2r-1 for r in radii) generate the same
-    bi-infinite sequence (equal primitive cycles up to rotation)."""
-    u = _primitive_cycle(tuple(cf.period))
-    v = _primitive_cycle(tuple(2 * r - 1 for r in radii))
-    if len(u) != len(v):
-        return False
-    return any(v[i:] + v[:i] == u for i in range(len(v)))
+    """Whether cf is exactly [(2r-1 for r in radii)], with no preperiod.
+
+    An identity for a report: cf_expand returns the minimal cycle from the
+    first reduced complete quotient; the far endpoint, the root > 1 of
+    x = R x for R = prod [[2r-1, 1], [1, 0]], is reduced (its conjugate is
+    in (-1, 0)), so no preperiod; the radii word is primitive (a conjugate
+    of a Christoffel word, p and q coprime), so the cycle is the whole tuple.
+    """
+    return cf == CfExpansion((), tuple(2 * r - 1 for r in radii))
 
 
 def _check_hyperbolic(mat: Psl2Mat) -> None:

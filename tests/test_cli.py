@@ -267,7 +267,12 @@ def test_enumerate_needs_a_bound(capsys):
             (["--max-sum", "5", "--max-level", "0"], "the bounds select no labels"),
             (["--max-m", "100000"], "--max-m must be at most 2000, got 100000"),
             (["--max-sum", "100000", "--max-level", "10"], "--max-sum must be at most 200, got 100000"),
-            (["--max-sum", "5", "--max-level", "31"], "--max-level must be at most 30, got 31")):
+            (["--max-sum", "5", "--max-level", "31"], "--max-level must be at most 30, got 31"),
+            # and a label bound beside --max-m, which enumerate would not use
+            (["--max-m", "4", "--max-sum", "5"],
+             "enumerate takes --max-m alone, or --max-sum with --max-level"),
+            (["--max-m", "4", "--max-level", "3"],
+             "enumerate takes --max-m alone, or --max-sum with --max-level")):
         code, out, err = run(capsys, "enumerate", *bounds)
         assert code == 1
         assert out == ""
@@ -342,6 +347,15 @@ def test_plot_halfplane(tmp_path, capsys):
                      "--out", str(out_path), "--max-denominator", "3")
     assert code == 0
     assert "<svg" in out_path.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["svg", "csv"])
+def test_plot_shape_collision_type_exits_1(tmp_path, capsys, fmt):
+    # the same message as cf, syzygy and plot --kind halfplane give
+    out_path = tmp_path / f"s.{fmt}"
+    code, out, err = run(capsys, "plot", "--type", "7,1", "--format", fmt, "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err == "error: CollisionType: type (7, 1) has even ell = 2\n"
 
 
 @pytest.mark.parametrize("ratio", ["2", "nan", "0"])

@@ -407,16 +407,25 @@ def test_cf_float_oracle():
             x = 1.0 / (x - a)
 
 
+# the rows are the CFs of (4,-5), (-8,13), (7,-8) and (-11,16)
 @pytest.mark.parametrize("period,radii,expected", [
     ((3,), (2,), True),
-    ((3, 1, 3, 1, 1), (1, 2, 1, 2, 1), True),
+    ((1, 1, 3, 1, 1), (1, 1, 2, 1, 1), True),
     ((3,), (1,), False),
-    ((3, 3), (2,), True),        # repetition-reduced forms coincide
+    ((5,), (3,), True),
     ((1, 3, 1, 3, 1), (1, 2, 1, 2, 1), True),
 ])
 def test_matches_cluster_period(period, radii, expected):
     cf = CfExpansion((), period)
     assert matches_cluster_period(cf, radii) is expected
+
+
+def test_matches_cluster_period_is_exact():
+    # a rotation, a repetition and a nonempty preperiod of [(2r-1)] all fail
+    radii = (1, 2, 1, 2, 1)
+    assert not matches_cluster_period(CfExpansion((), (3, 1, 3, 1, 1)), radii)
+    assert not matches_cluster_period(CfExpansion((), (3, 3)), (2,))
+    assert not matches_cluster_period(CfExpansion((1,), (1, 3, 1, 3, 1)), radii)
 
 
 def test_dilatation_examples():
