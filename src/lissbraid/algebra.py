@@ -180,21 +180,27 @@ LETTER_MATS = {
 
 
 _ENTRIES = dict(LETTER_MATS, A=A_MAT, B=LETTER_MATS["p"])  # (a, b, c, d) tuples
-_CHUNK = 4
+_CHUNK = 8
 
 
 class _ChunkEntries(dict):
-    """Integer entries of the product over each word chunk, filled on first
-    use.  Only validated words are chunked, and a chunk has 1 to 4 letters,
-    so the keys are at most 4 + 16 + 64 + 256 = 340 pbqd strings and
-    2 + 4 + 8 + 16 = 30 A/B strings: the memo is bounded by construction.
+    """Integer entries of the product over each word chunk of 1 to 8
+    letters, filled on first use.  Only validated words are chunked, and a
+    pbqd chunk is kept only when it alternates free factors (2^(k+1) such
+    chunks of k letters), so the keys are at most 4 + 8 + ... + 512 = 1020
+    pbqd strings and 2 + 4 + ... + 256 = 510 A/B strings: the memo is
+    bounded by construction.  Every word the pipeline multiplies is
+    reduced; a chunk of any other word is multiplied out on each use.
     Its values depend on the key alone, so every caller can share it."""
 
     def __missing__(self, chunk):
         a, b, c, d = 1, 0, 0, 1
         for e, f, g, h in map(_ENTRIES.__getitem__, chunk):
             a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        self[chunk] = entries = (a, b, c, d)
+        entries = (a, b, c, d)
+        factors = chunk.translate(_FACTOR_DIGIT)
+        if "00" not in factors and "11" not in factors:  # alternating, or A/B
+            self[chunk] = entries
         return entries
 
 
@@ -204,7 +210,7 @@ _CHUNK_ENTRIES = _ChunkEntries()
 def _product(word: str) -> Psl2Mat:
     """Product of the letter matrices of a validated pbqd or A/B word.
 
-    The word is read in chunks of at most 4 letters through the chunk memo,
+    The word is read in chunks of at most 8 letters through the chunk memo,
     and the chunk products are multiplied pairwise level by level, so both
     operands of each product have about the same size and the big products
     use CPython's subquadratic multiplication.  The determinant check and
@@ -262,8 +268,8 @@ def ab_to_matrix(word: str) -> Psl2Mat:
     return _product(check_ab(word))
 
 
-def ab_to_frieze(word: str) -> str:
-    """Translate an A/B word with evenly many A's into a reduced pbqd-word.
+def _ab_to_reduced(word: str) -> str:
+    """ab_to_frieze without its matrix check.
 
     Each B is p at even parity of the A's before it and q at odd parity,
     so B^-1 = BB gives pp = b or qq = d.  Splitting the word at its A's
@@ -274,7 +280,13 @@ def ab_to_frieze(word: str) -> str:
         raise OddACount(f"odd number of A's in {word}")
     if len(pieces) > 1:
         pieces[1::2] = "A".join(pieces[1::2]).replace("B", "q").split("A")
-    reduced = reduce_two_letter("".join(pieces).replace("B", "p"), "p", "q")
+    return reduce_two_letter("".join(pieces).replace("B", "p"), "p", "q")
+
+
+def ab_to_frieze(word: str) -> str:
+    """Translate an A/B word with evenly many A's into a reduced pbqd-word,
+    and check that both words have the same matrix."""
+    reduced = _ab_to_reduced(word)
     if frieze_to_matrix(reduced) != ab_to_matrix(word):
         raise InvariantError(f"translation of {word} lost group equality")
     return reduced

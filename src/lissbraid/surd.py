@@ -30,8 +30,18 @@ _PRIMES = (
 )
 
 
+# the squares mod 64, 63, 65 and 11: fewer than 1 in 100 nonsquares pass all
+# four tests, so most take no root (Cohen, A Course in Computational
+# Algebraic Number Theory, 1993, Algorithm 1.7.3); 45045 = 63 * 65 * 11
+_SQUARE_MODS = tuple((k, frozenset(i * i % k for i in range(k))) for k in (63, 65, 11))
+_SQUARES_64 = frozenset(i * i % 64 for i in range(64))
+
+
 def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+    if n < 0 or n & 63 not in _SQUARES_64:
+        return False
+    r = n % 45045
+    return all(r % k in squares for k, squares in _SQUARE_MODS) and isqrt(n) ** 2 == n
 
 
 _PRIMORIAL = prod(_PRIMES)
@@ -199,7 +209,12 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
 
 
 def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:
-    """Float value of the expansion truncated to nterms partial quotients."""
+    """Float value of the expansion truncated to nterms partial quotients.
+
+    Raises ValueError for nterms < 1 and for an empty period, which has
+    no terms to repeat."""
+    if nterms < 1 or not cf.period:
+        raise ValueError(f"cannot evaluate {nterms} terms of {cf}")
     quots = list(cf.preperiod)
     while len(quots) < nterms:
         quots.extend(cf.period)

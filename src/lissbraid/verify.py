@@ -10,7 +10,7 @@ import random
 from collections.abc import Callable
 from math import gcd
 
-from .algebra import A_MAT, ab_to_frieze, cyclically_equal, frieze_w
+from .algebra import A_MAT, _ab_to_reduced, ab_to_matrix, cyclically_equal, frieze_w
 from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import LissbraidError
 from .lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
@@ -106,7 +106,10 @@ def suite_cf(max_m: int = 60, seed: int = 0) -> list[Case]:
 
 
 def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
-    """Cluster construction against the direct word, plus word identities."""
+    """Cluster construction against the direct word, plus word identities.
+
+    The A/B word W_ab translates to W and has its matrix: the two checks of
+    ab_to_frieze, made here against the matrix frieze_w already returned."""
     rng = random.Random(seed)
     out: list[Case] = []
     for m, n in enumerate_p0(max_m):
@@ -115,7 +118,8 @@ def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
         label = level_slope_of(m, n)
         ok_letters = clusters_of(label).letters == h
         w, mat = frieze_w(h)
-        ok_w = ab_to_frieze(build_W(nt)) == w
+        w_ab = build_W(nt)
+        ok_w = _ab_to_reduced(w_ab) == w and ab_to_matrix(w_ab) == mat
         ok_sym = A_MAT * mat.inverse() * A_MAT == mat
         rot = rng.randrange(len(w))
         ok_conj = cyclically_equal(w, w[rot:] + w[:rot])

@@ -101,17 +101,41 @@ def test_ab_word_matrix_equals_left_fold():
         assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
 
 
+def _alternating_word(rng, length, first_factor):
+    return "".join(rng.choice("pb" if (first_factor + i) % 2 == 0 else "qd")
+                   for i in range(length))
+
+
+def test_alternating_and_ab_words_equal_left_fold_at_every_leaf_tail():
+    # lengths 0 to 40 end in every partial 8-letter leaf, and 0 to 20 cover
+    # the A/B words up to two full leaves and a partial third
+    rng = random.Random(11)
+    for length in range(41):
+        for first_factor in (0, 1):
+            word = _alternating_word(rng, length, first_factor)
+            assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+    for length in range(21):
+        for _ in range(4):
+            word = "".join(rng.choice("AB") for _ in range(length))
+            assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
+
+
 def test_chunk_memo_stays_bounded():
+    # keys have 1 to 8 letters; a pbqd key alternates free factors, so there
+    # are at most 4 + 8 + ... + 512 pbqd keys and 2 + 4 + ... + 256 A/B keys
     rng = random.Random(9)
     for _ in range(500):
         word = "".join(rng.choice("pbqd") for _ in range(rng.randrange(0, 301)))
-        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word)
+        for w in (word, reduce_frieze(word)):
+            assert frieze_to_matrix(w) == _left_fold(LETTER_MATS[ch] for ch in w)
         ab_word = "".join(rng.choice("AB") for _ in range(rng.randrange(0, 301)))
         assert ab_to_matrix(ab_word) == _left_fold(_AB_MATS[ch] for ch in ab_word)
     keys = list(algebra._CHUNK_ENTRIES)
-    assert all(isinstance(key, str) and 1 <= len(key) <= 4 for key in keys)
-    assert sum(set(key) <= set("pbqd") for key in keys) <= 4 + 16 + 64 + 256
-    assert sum(set(key) <= set("AB") for key in keys) <= 2 + 4 + 8 + 16
+    assert all(isinstance(key, str) and 1 <= len(key) <= 8 for key in keys)
+    frieze_keys = [key for key in keys if set(key) <= set("pbqd")]
+    assert len(frieze_keys) <= 1020
+    assert all(factor_of(a) != factor_of(b) for key in frieze_keys for a, b in zip(key, key[1:]))
+    assert sum(set(key) <= set("AB") for key in keys) <= 510
     assert all(set(key) <= set("pbqd") or set(key) <= set("AB") for key in keys)
 
 

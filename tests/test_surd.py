@@ -384,6 +384,19 @@ def test_split_square_equals_trial_division_by_every_f():
         assert surd._split_square(d) == _split_square_by_every_f(d), d
 
 
+def test_is_square_equals_root_check():
+    # the residue tables only skip roots: every answer equals the root check
+    def by_root(n):
+        return n >= 0 and math.isqrt(n) ** 2 == n
+
+    rng = random.Random(23)
+    near_squares = [k * k + e for k in range(20000) for e in (-1, 0, 1)]
+    randoms = [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(20000)]
+    for n in [-4, -1] + list(range(200000)) + near_squares + randoms:
+        assert surd._is_square(n) == by_root(n), n
+    assert all(surd._is_square(rng.getrandbits(2000) ** 2) for _ in range(200))
+
+
 def test_cf_expand_rejects_unnormalized_state():
     x = tuple.__new__(QuadSurd, (3, 3, 13))  # 3 does not divide 13 - 9
     with pytest.raises(InvariantError):
@@ -394,6 +407,15 @@ def test_cf_reevaluation_matches_approx():
     for mat in (W45, W_11_16, W_23_28, Psl2Mat(2, 1, 1, 1)):
         x = far_endpoint(mat)
         assert abs(cf_evaluate(cf_expand(x), 60) - x.approx()) < 1e-9
+
+
+def test_cf_evaluate_rejects_empty_period_and_no_terms():
+    # an empty period has nothing to repeat, and no terms have no last term
+    with pytest.raises(ValueError):
+        cf_evaluate(CfExpansion((1, 2), ()))
+    for nterms in (0, -3):
+        with pytest.raises(ValueError):
+            cf_evaluate(CfExpansion((), (1,)), nterms)
 
 
 def test_cf_float_oracle():
@@ -461,11 +483,12 @@ def test_family_cf_periods_odd_and_matching():
 
 def test_report_takes_each_full_size_root_once(monkeypatch):
     # isqrt is quadratic in the bit length on CPython 3.10 and 3.11, and gcd
-    # on every version, so a report takes one root per value it needs:
-    # building it roots the dilatation's D (the nonsquare check), the far
-    # endpoint's D and the CF's D; printing it roots each printed D once and
-    # the dilatation's D << 128 for its float.  Printing a surd takes two
-    # gcds of its size.
+    # on every version, so a report takes only the roots it needs: building
+    # it roots the CF's D; the nonsquare checks of the dilatation's and the
+    # far endpoint's D and the final square check of each printed D are
+    # settled by the residue tables of _is_square, and the dilatation's
+    # float overflows before its root.  Printing a surd takes two gcds of
+    # its size.
     m, n = type_of(LevelSlope(1, 3000, 1))
     mat = build_report(m, n).matrix
     half = max(abs(mat.a), abs(mat.b), abs(mat.c), abs(mat.d)).bit_length() // 2
@@ -485,4 +508,5 @@ def test_report_takes_each_full_size_root_once(monkeypatch):
         calls.update(isqrt=0, gcd=0)
         render()
         counts.append(dict(calls))
-    assert all(c["isqrt"] <= 3 and c["gcd"] <= 4 for c in counts), counts
+    assert [c["isqrt"] for c in counts] == [1, 0, 0], counts
+    assert all(c["gcd"] <= 4 for c in counts), counts

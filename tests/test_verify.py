@@ -2,6 +2,7 @@
 
 import pytest
 
+import lissbraid.verify as verify
 from lissbraid.verify import SUITES
 
 BOUNDS = {
@@ -33,3 +34,15 @@ def test_suite_takes_seed_and_rejects_other_keywords(name):
 def test_cf_details_are_clipped():
     # the period and radii lists grow with |m|; each is clipped to 40 characters
     assert all(len(detail) <= 100 for _, _, detail in SUITES["cf"](max_m=200))
+
+
+def test_cluster_case_fails_on_a_wrong_product_or_translation(monkeypatch):
+    # the suite compares the A/B word's product with M(W) and its translation
+    # with W, each a failing case and not an exception when they differ
+    assert all(ok for _, ok, _ in verify.suite_cluster(max_m=10))
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "ab_to_matrix", lambda word: verify.A_MAT)
+        assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_ab_to_reduced", lambda word: "p")
+        assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
