@@ -27,14 +27,8 @@ _EXPONENT = {"p": 1, "b": 2, "q": 1, "d": 2}
 _LETTER = {(0, 1): "p", (0, 2): "b", (1, 1): "q", (1, 2): "d"}
 _FACTOR_DIGIT = str.maketrans("pbqd", "0011")
 
-_A_CONJUGATE = str.maketrans("pbqd", "qdpb")   # conjugation by A
 _HALF_SWAP = str.maketrans("pbqd", "dqbp")     # p<->d, b<->q
 _INVERSE = str.maketrans("pbqd", "bpdq")       # x -> x^-1 within its factor
-
-
-def factor_of(letter: str) -> int:
-    """Free-product factor of a letter: 0 for p,b and 1 for q,d."""
-    return _FACTOR[letter]
 
 
 def check_frieze(word: str) -> str:
@@ -84,16 +78,6 @@ def reduce_two_letter(word: str, x: str, y: str) -> str:
     xx, yy = (x + y).translate(_INVERSE)
     merged = cube_free.replace(x + x, xx).replace(y + y, yy)
     return merged if len(cube_free) == len(word) else _reduce(merged)
-
-
-def frieze_inverse(word: str) -> str:
-    """Inverse word (reversed, with each letter inverted in its factor)."""
-    return check_frieze(word).translate(_INVERSE)[::-1]
-
-
-def a_conjugate(word: str) -> str:
-    """Conjugation by A, realised letter-wise as p<->q, b<->d."""
-    return check_frieze(word).translate(_A_CONJUGATE)
 
 
 def second_half(half: str) -> str:
@@ -290,12 +274,3 @@ def ab_to_frieze(word: str) -> str:
     if frieze_to_matrix(reduced) != ab_to_matrix(word):
         raise InvariantError(f"translation of {word} lost group equality")
     return reduced
-
-
-def s3_image(word: str) -> int:
-    """Image (123)^k of a pbqd-word in S3 under p,d -> (123), b,q -> (132),
-    given as k in {0, 1, 2}: the index-2 subgroup maps onto A3 = <(123)>,
-    and (132) = (123)^2, so k = #p + #d + 2(#b + #q) mod 3.
-    """
-    count = check_frieze(word).count
-    return (count("p") + count("d") + 2 * (count("b") + count("q"))) % 3

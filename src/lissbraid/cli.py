@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 from .classify import LevelSlope, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import LissbraidError
-from .lissajous import is_collision_free, normalize, reduce_to_p0
+from .lissajous import normalize, reduce_to_p0
 from .report import Report, build_report, collision_report_dict
 from .shapetrace import csv_shape, svg_halfplane, svg_shape
 from .syzygy import omega, syzygy_sequence
@@ -69,11 +69,8 @@ def _checked_p0(m: int, n: int, periods: int = 1) -> tuple[int, int]:
 
 @contextmanager
 def _int_digits_unlimited():
-    """Lift the int-to-str digit limit (Python 3.10.7+) while a result is
-    printed, and restore it; the size cap bounds the digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Lift the int-to-str digit limit while a result is printed, and
+    restore it; the size cap bounds the digits."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -97,7 +94,7 @@ def _emit_report(report: Report, as_json: bool) -> None:
 def cmd_classify(args) -> int:
     m, n = _parse_type(args.type)
     nt = normalize(m, n)
-    if not is_collision_free(m, n):
+    if nt.ell % 2 == 0:
         print(json.dumps(collision_report_dict(m, n, nt)))
         return 2
     _checked_p0(m, n)

@@ -45,10 +45,6 @@ class MultiplePalindromes(LissbraidError):
     """More than one rotation of the word is a palindrome."""
 
 
-class AllOnes(LissbraidError):
-    """A cyclic binary word with no 0 has no finite 1-clusters."""
-
-
 class NotHyperbolic(LissbraidError):
     """The matrix has trace of absolute value <= 2."""
 

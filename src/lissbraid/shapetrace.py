@@ -30,7 +30,6 @@ RHO = cmath.exp(1j * math.pi / 3)
 
 DEFAULT_RATIO = 0.05
 CROSSING_GUARD = 1e-9       # min distance of a crossing from a collision point
-EQ_PERIOD_TOL = 1e-9        # psi(t + 1/3) = omega psi(t) check
 COLLISION_EPS = 1e-6        # refined minimum below this means collision
 SEPARATION_EPS = 1e-3       # refined minimum above this means collision-free
 
@@ -142,26 +141,6 @@ def collision_scan(m: int, n: int) -> float:
         best = min(best, float(dist[j]))
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
     return best
-
-
-def region_itinerary(nt: NormalizedType) -> list[str]:
-    """Regions visited over one third of a period (30000 samples), repeats
-    compressed: the thirds I, II, III of the angle, whose borders pass
-    through the collision points 1, omega, omega^2, with '-' outside the
-    equator and '+' inside.  Samples within 1e-7 of the equator or of a
-    border ray, and samples at psi = 0, are skipped."""
-    import numpy as np
-    _check_collision_free(nt)
-    delta = start_offset(nt)
-    psi = psi_values(nt, DEFAULT_RATIO, np.linspace(delta, 1.0 / 3.0 + delta, 30000))
-    r = np.abs(psi)
-    theta = np.angle(psi) % (2 * math.pi)
-    k = theta // _THIRD
-    keep = ((np.abs(r - 1.0) >= 1e-7) & (r != 0.0)
-            & (np.minimum(theta - k * _THIRD, (k + 1) * _THIRD - theta) >= 1e-7))
-    codes = 2 * k[keep].astype(int) + (r[keep] < 1.0)
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    return [("I", "II", "III")[c // 2] + "-+"[c % 2] for c in codes.tolist()]
 
 
 def _crossings(nt: NormalizedType, ratio: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,14 +341,3 @@ def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))
     return path
-
-
-def periodicity_defect(nt: NormalizedType) -> float:
-    """max |psi(t + 1/3) - omega psi(t)| over 500 sampled t; near 0 by symmetry."""
-    import numpy as np
-    delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 / 3.0 + delta, 500)
-    omega_c = cmath.exp(2j * math.pi / 3)
-    left = psi_values(nt, DEFAULT_RATIO, ts + 1.0 / 3.0)
-    right = omega_c * psi_values(nt, DEFAULT_RATIO, ts)
-    return float(np.max(np.abs(left - right)))

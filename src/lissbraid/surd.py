@@ -208,23 +208,6 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
 
 
-def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:
-    """Float value of the expansion truncated to nterms partial quotients.
-
-    Raises ValueError for nterms < 1 and for an empty period, which has
-    no terms to repeat."""
-    if nterms < 1 or not cf.period:
-        raise ValueError(f"cannot evaluate {nterms} terms of {cf}")
-    quots = list(cf.preperiod)
-    while len(quots) < nterms:
-        quots.extend(cf.period)
-    quots = quots[:nterms]
-    value = float(quots[-1])
-    for a in reversed(quots[:-1]):
-        value = a + 1.0 / value
-    return value
-
-
 def matches_cluster_period(cf: CfExpansion, radii) -> bool:
     """Whether cf is exactly [(2r-1 for r in radii)], with no preperiod.
 

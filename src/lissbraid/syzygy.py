@@ -55,13 +55,3 @@ def syzygy_sequence(m: int, n: int, periods: int = 1) -> str:
     shift = str.maketrans(_ARCS, _ARCS[k:] + _ARCS[:k])
     s1 = s0.translate(shift)
     return (s0 + s1 + s1.translate(shift)) * (2 * periods)
-
-
-def is_reduced(seq: str) -> bool:
-    """No two cyclically adjacent letters are equal.
-
-    A single letter cyclically adjoins itself, so length 1 is not reduced.
-    """
-    if not seq:
-        return True
-    return all(seq[i] != seq[(i + 1) % len(seq)] for i in range(len(seq)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import AllOnes, MultiplePalindromes, NoPalindrome
+from .errors import MultiplePalindromes, NoPalindrome
 
 
 _BINARY = frozenset("01")
@@ -78,14 +78,6 @@ def palindromic_christoffel(p: int, q: int) -> str:
     return word
 
 
-def phi_n(level: int, word: str) -> str:
-    """Letter substitution 0 -> (101)^(N-1) 1,  1 -> (101)^N 1."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    image = {"0": "101" * (level - 1) + "1", "1": "101" * level + "1"}
-    return "".join(image[ch] for ch in _check_binary(word))
-
-
 def varphi_n(level: int, word: str) -> tuple[int, ...]:
     """Letter replacement 0 -> N, 1 -> N+1."""
     if level < 1:
@@ -105,33 +97,3 @@ def radius_blocks(level: int, word: str, pairs: tuple[str, ...]) -> str:
         table = {"0": (x + y) * (level - 1) + x, "1": (x + y) * level + x}
         blocks[i::k] = map(table.__getitem__, word[i::k])
     return "".join(blocks)
-
-
-def difference_seq(m_abs: int, ell_abs: int) -> str:
-    """One period (length m) of floor(L(k+1/2)/m) - floor(L(k-1/2)/m), L = ell.
-
-    Entries are in {0,1} for ell <= m; this is the mod-2 difference of the
-    epsilon bit sequence of a type with these |m| and |ell|.
-    """
-    if m_abs < 1 or ell_abs < 1 or ell_abs > m_abs or gcd(m_abs, ell_abs) != 1:
-        raise ValueError(f"need coprime 1 <= ell <= m, got {(m_abs, ell_abs)}")
-    out = []
-    for k in range(1, m_abs + 1):
-        hi = (2 * ell_abs * k + ell_abs) // (2 * m_abs)
-        lo = (2 * ell_abs * k - ell_abs) // (2 * m_abs)
-        out.append(str(hi - lo))
-    return "".join(out)
-
-
-def cluster_lengths(word: str, cyclic: bool = True) -> set[int]:
-    """Set of lengths of maximal runs of 1s, optionally in the cyclic reading."""
-    _check_binary(word)
-    if not word:
-        return set()
-    if cyclic:
-        if "0" not in word:
-            raise AllOnes(f"cyclic word {word!r} has no 0")
-        # rotate a 0 to the front so runs never wrap, then read linearly
-        i = word.index("0")
-        word = word[i:] + word[:i]
-    return {len(run) for run in word.split("0") if run}

@@ -7,14 +7,14 @@ line per criterion.
 import functools
 import math
 
-from lissbraid.algebra import Psl2Mat, ab_to_matrix, frieze_w, s3_image, trace_class
+from lissbraid.algebra import Psl2Mat, ab_to_matrix, frieze_w, trace_class
 from lissbraid.classify import enumerate_p0, level_slope_of
 from lissbraid.lissajous import build_H, build_W, epsilon_seq, normalize
 from lissbraid.report import build_report
-from lissbraid.shapetrace import region_itinerary
 from lissbraid.surd import CfExpansion, QuadSurd, cf_expand, far_endpoint
 from lissbraid.syzygy import omega, syzygy_sequence
 from lissbraid.verify import SUITES
+from reference import region_itinerary, s3_image
 
 
 def criterion(num, desc):

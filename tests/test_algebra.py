@@ -8,21 +8,18 @@ from lissbraid.algebra import (
     A_MAT,
     LETTER_MATS,
     Psl2Mat,
-    a_conjugate,
     ab_to_frieze,
     ab_to_matrix,
     check_ab,
     cyclically_equal,
-    factor_of,
-    frieze_inverse,
     frieze_to_matrix,
     frieze_w,
     reduce_frieze,
-    s3_image,
     second_half,
     trace_class,
 )
 from lissbraid.errors import InvariantError, NotPalindromic, OddACount
+from reference import a_conjugate, factor_of, frieze_inverse, s3_image
 
 frieze_words = st.text(alphabet="pbqd", max_size=50)
 

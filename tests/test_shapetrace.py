@@ -1,5 +1,6 @@
 import cmath
 import math
+import pathlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import gcd
@@ -14,22 +15,20 @@ from lissbraid.errors import CollisionType
 from lissbraid.lissajous import epsilon_seq, is_collision_free, normalize
 from lissbraid.shapetrace import (
     COLLISION_EPS,
-    EQ_PERIOD_TOL,
     RHO,
     SEPARATION_EPS,
     collision_scan,
     csv_shape,
     epsilon_oracle,
     farey_edges,
-    periodicity_defect,
     psi_values,
-    region_itinerary,
     start_offset,
     svg_halfplane,
     svg_shape,
     syzygy_oracle,
 )
 from lissbraid.syzygy import omega, syzygy_sequence
+from reference import EQ_PERIOD_TOL, periodicity_defect, region_itinerary
 
 
 def test_curve_endpoints():
@@ -239,7 +238,7 @@ def test_csv_shape(tmp_path):
     nt = normalize(4, -5)
     out = str(tmp_path / "shape.csv")
     csv_shape(nt, 0.05, 100, out)
-    lines = open(out).read().splitlines()
+    lines = pathlib.Path(out).read_text().splitlines()
     assert lines[0] == "t,re_psi,im_psi"
     assert len(lines) == 101
     t, re, im = map(float, lines[1].split(","))
@@ -277,7 +276,8 @@ def test_svg_shape_equals_the_numpy_formula(tmp_path):
         delta = start_offset(nt)
         assert shapetrace._sample_times(delta, 1.0 + delta, 6000) == ts.tolist()
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(_sphere_xy_reference, psis.tolist()))
-        assert f'<polyline points="{pts}"' in open(svg_shape(nt, 0.05, 6000, out)).read(), (m, n)
+        svg = pathlib.Path(svg_shape(nt, 0.05, 6000, out)).read_text()
+        assert f'<polyline points="{pts}"' in svg, (m, n)
 
 
 def test_figures_reject_fewer_than_two_steps(tmp_path):
@@ -302,7 +302,7 @@ def test_csv_shape_equals_the_numpy_formula(tmp_path):
         nt = normalize(m, n)
         ts, psis = _numpy_curve(nt, 0.05, 1.0 / 3.0, 6000)
         expected = [f"{t:.12g},{z.real:.12g},{z.imag:.12g}" for t, z in zip(ts.tolist(), psis.tolist())]
-        rows = open(csv_shape(nt, 0.05, 6000, out)).read().splitlines()
+        rows = pathlib.Path(csv_shape(nt, 0.05, 6000, out)).read_text().splitlines()
         assert rows[0] == "t,re_psi,im_psi" and len(rows) == 6001
         for row, want, z in zip(rows[1:], expected, psis.tolist()):
             if row != want:
@@ -338,7 +338,7 @@ def test_farey_edges_oracle():
 def test_svg_halfplane(tmp_path):
     out = str(tmp_path / "axis.svg")
     svg_halfplane(Psl2Mat(10, 3, 3, 1), 3, out)
-    text = open(out).read()
+    text = pathlib.Path(out).read_text()
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
     assert "3.302776" in text and "-0.302776" in text

@@ -3,6 +3,7 @@ import doctest
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,33 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public name that no module of the package loads and the benchmark
+    # does not name is reached by tests alone, so it belongs under tests/
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    loaded = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.alias):
+            loaded.add(node.name)
+    # the benchmark's tracer names its targets as strings
+    for path in (SRC.parent.parent / "perfbench").glob("*.py"):
+        loaded.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    bound = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    unused = sorted(name for name in bound if not name.startswith("_") and name not in loaded)
+    assert not unused, unused
 
 
 def test_readme_examples_run_as_doctests():

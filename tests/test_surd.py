@@ -13,13 +13,13 @@ from lissbraid.report import build_report
 from lissbraid.surd import (
     CfExpansion,
     QuadSurd,
-    cf_evaluate,
     cf_expand,
     dilatation,
     far_endpoint,
     fixed_points,
     matches_cluster_period,
 )
+from reference import cf_evaluate
 
 W45 = Psl2Mat(10, 3, 3, 1)
 W_11_16 = Psl2Mat(586, -741, -741, 937)

@@ -2,7 +2,8 @@ import pytest
 
 from lissbraid.classify import LevelSlope, clusters_of, enumerate_p0, level_slope_of
 from lissbraid.errors import NotPrimitive
-from lissbraid.syzygy import is_reduced, omega, syzygy_sequence
+from lissbraid.syzygy import omega, syzygy_sequence
+from reference import is_reduced
 
 FULL_PERIOD_42 = "123131231232312312123123131231232312312123"
 
