@@ -222,6 +222,12 @@ def frieze_w(half: str) -> tuple[str, Psl2Mat]:
     second_half moves every letter into the other free factor, so after
     the palindrome H (which ends in its first letter) it continues to
     alternate factors: W is reduced without a reduction pass.
+
+    For H = build_H of a type, tr M(W) is odd.  Unreduced, H has |m| letters
+    from {p, d} (m > 0) or {q, b} (m < 0); mod 2, p = d = s = [[1,1],[1,0]]
+    and q = b = s^2, of order 3 in SL(2,F_2) = S_3, so with |m| = 1 (m > 0)
+    or 2 (m < 0) mod 3, M(H) = s.  A = t = [[0,1],[1,0]] is a transposition
+    not commuting with s, so M(W) = (s t s^-1) t is a 3-cycle, of trace 1.
     """
     w = half + second_half(half)
     return w, frieze_to_matrix(w)

@@ -41,9 +41,6 @@ class LevelSlope(namedtuple("LevelSlope", "level p q")):
     def slope_str(self) -> str:
         return f"{self.q}/{self.p}"
 
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "slope": self.slope_str}
-
     def __str__(self) -> str:
         return f"(N={self.level}, {self.slope_str})"
 
@@ -116,15 +113,8 @@ def enumerate_p0(max_m: int) -> list[tuple[int, int]]:
 
 
 def enumerate_labels(max_sum: int, max_level: int) -> list[LevelSlope]:
-    """All labels with p + q <= max_sum and level <= max_level."""
-    out = []
-    for s in range(1, max_sum + 1):
-        if gcd(s, 6) != 1:
-            continue
-        for q in range(0, s):
-            p = s - q
-            if gcd(p, q) != 1:
-                continue
-            for level in range(1, max_level + 1):
-                out.append(LevelSlope(level, p, q))
-    return sorted(out, key=lambda l: (l.level, l.p + l.q, l.q))
+    """All labels with p + q <= max_sum and level <= max_level, in
+    (level, p + q, q) order; gcd(p, q) = gcd(p + q, q)."""
+    return [LevelSlope(level, s - q, q) for level in range(1, max_level + 1)
+            for s in range(1, max_sum + 1) if gcd(s, 6) == 1
+            for q in range(s) if gcd(s, q) == 1]

@@ -269,16 +269,12 @@ _TYPE_VALUE = re.compile(r"^-?\d+,-?\d+$")
 def _glue_type_values(argv: list[str]) -> list[str]:
     """Join '--type -5,7' into '--type=-5,7' so argparse does not read the
     leading minus as an option prefix."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--type" and i + 1 < len(argv) and _TYPE_VALUE.match(argv[i + 1]):
-            out.append(f"--type={argv[i + 1]}")
-            i += 2
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--type" and _TYPE_VALUE.match(tok):
+            out[-1] = f"--type={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

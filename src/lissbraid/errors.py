@@ -49,10 +49,6 @@ class NotHyperbolic(LissbraidError):
     """The matrix has trace of absolute value <= 2."""
 
 
-class TranslationForm(LissbraidError):
-    """The matrix fixes infinity (c = 0), so both endpoints are not finite surds."""
-
-
 class Unstable(LissbraidError):
     """A numeric oracle failed to stabilise under amplitude refinement."""
 

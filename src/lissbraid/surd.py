@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import gcd, isqrt, prod
 
 from .algebra import Psl2Mat, trace_class
-from .errors import InvariantError, NotHyperbolic, TranslationForm
+from .errors import InvariantError, NotHyperbolic
 
 # the 168 primes up to 1000
 _PRIMES = (
@@ -30,18 +30,15 @@ _PRIMES = (
 )
 
 
-# the squares mod 64, 63, 65 and 11: fewer than 1 in 100 nonsquares pass all
-# four tests, so most take no root (Cohen, A Course in Computational
-# Algebraic Number Theory, 1993, Algorithm 1.7.3); 45045 = 63 * 65 * 11
-_SQUARE_MODS = tuple((k, frozenset(i * i % k for i in range(k))) for k in (63, 65, 11))
+# the squares mod 64, all 0, 1 or 4 mod 8, settle every report D, which is
+# 5 mod 8: t^2 - 4 for the odd trace t of M(W) (algebra.frieze_w), or that
+# over g^2 for the fixed points' content g, odd as an even g makes b, c even,
+# so ad = 1 + bc odd and t even.  Only other callers' D may take a root.
 _SQUARES_64 = frozenset(i * i % 64 for i in range(64))
 
 
 def _is_square(n: int) -> bool:
-    if n < 0 or n & 63 not in _SQUARES_64:
-        return False
-    r = n % 45045
-    return all(r % k in squares for k, squares in _SQUARE_MODS) and isqrt(n) ** 2 == n
+    return n >= 0 and n & 63 in _SQUARES_64 and isqrt(n) ** 2 == n
 
 
 _PRIMORIAL = prod(_PRIMES)
@@ -50,14 +47,14 @@ _PRIMORIAL = prod(_PRIMES)
 def _split_square(d: int) -> tuple[int, int]:
     """d = c*c * rest with rest free of the squares of primes up to 1000.
 
-    Only the squares of the 168 primes up to 1000 are extracted, followed
-    by a perfect-square check; used for display only.  A prime whose
-    square divides d divides g = gcd(d, product of the primes), so one
-    gcd picks the primes to peel and the big d is divided only by those.
-    This equals peeling f^2 for every f up to 1000: once the squares of
-    all primes below f are peeled, f^2 cannot divide the rest for
-    composite f, whose smallest prime factor h has h^2 | f^2.  Any d >= 1
-    works, squares too: peeling prime squares off a square leaves a square.
+    Only the squares of the 168 primes up to 1000 are extracted; used for
+    display only.  A prime whose square divides d divides
+    g = gcd(d, product of the primes), so one gcd picks the primes to peel
+    and the big d is divided only by those.  This equals peeling f^2 for
+    every f up to 1000: once the squares of all primes below f are peeled,
+    f^2 cannot divide the rest for composite f, whose smallest prime factor
+    h has h^2 | f^2.  The one caller, QuadSurd.__str__, passes a nonsquare
+    D, so the rest is no square s^2: D = (cs)^2 would be one.
     """
     c, g = 1, gcd(d, _PRIMORIAL)
     for f in _PRIMES:
@@ -68,8 +65,6 @@ def _split_square(d: int) -> tuple[int, int]:
             while d % (f * f) == 0:
                 d //= f * f
                 c *= f
-    if _is_square(d):
-        c, d = c * isqrt(d), 1
     return c, d
 
 
@@ -227,10 +222,9 @@ def _check_hyperbolic(mat: Psl2Mat) -> None:
 
 def _fixed_point_quadratic(mat: Psl2Mat) -> tuple[int, int, int]:
     """(c', u, D): the fixed points' c x^2 + (d - a) x - b = 0 with its content
-    g > 0 divided out is c' x^2 - u x - b' = 0, of discriminant u^2 + 4 c' b'."""
+    g > 0 divided out is c' x^2 - u x - b' = 0, of discriminant u^2 + 4 c' b'.
+    c' != 0: c = 0 and det 1 force a = d = +-1, which _check_hyperbolic rejects."""
     _check_hyperbolic(mat)
-    if mat.c == 0:
-        raise TranslationForm(f"{mat} fixes infinity")
     g = gcd(mat.c, mat.d - mat.a, mat.b)
     c, u, b = mat.c // g, (mat.a - mat.d) // g, mat.b // g
     return c, u, u * u + 4 * c * b

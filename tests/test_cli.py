@@ -249,9 +249,9 @@ def test_enumerate_prints_json_dumps_rows(capsys):
     # byte for byte the lines json.dumps gives the row dicts, on both paths
     from lissbraid.classify import enumerate_labels, enumerate_p0
 
-    types = [json.dumps({"m": m, "n": n, **level_slope_of(m, n).to_json_dict()})
-             for m, n in enumerate_p0(200)]
-    labels = [json.dumps({**ls.to_json_dict(), **dict(zip("mn", type_of(ls)))})
+    types = [json.dumps({"m": m, "n": n, "level": ls.level, "slope": ls.slope_str})
+             for m, n in enumerate_p0(200) for ls in [level_slope_of(m, n)]]
+    labels = [json.dumps({"level": ls.level, "slope": ls.slope_str, **dict(zip("mn", type_of(ls)))})
               for ls in enumerate_labels(40, 6)]
     for argv, rows in ((["--max-m", "200"], types), (["--max-sum", "40", "--max-level", "6"], labels)):
         code, out, _ = run(capsys, "enumerate", *argv)

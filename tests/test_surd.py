@@ -385,7 +385,7 @@ def test_split_square_equals_trial_division_by_every_f():
 
 
 def test_is_square_equals_root_check():
-    # the residue tables only skip roots: every answer equals the root check
+    # the residue table only skips roots: every answer equals the root check
     def by_root(n):
         return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -481,14 +481,27 @@ def test_family_cf_periods_odd_and_matching():
         assert abs(far.approx()) > abs(others[0].approx())
 
 
+def test_report_trace_is_odd_and_each_d_is_5_mod_8():
+    # the facts that let the mod-64 screen settle every report D (see
+    # algebra.frieze_w and surd._SQUARES_64) and the cluster suite read
+    # A M^-1 A = M off the entries, over the sweep and the ladder labels
+    ladder = [type_of(LevelSlope(level, p, 1))
+              for level, p in ((1, 100), (1, 1000), (50, 100), (1, 10000))]
+    for m, n in enumerate_p0(200) + ladder:
+        report = build_report(m, n)
+        assert report.trace % 2 == 1, (m, n)
+        assert report.matrix.b == report.matrix.c, (m, n)
+        assert report.dilatation_exact.D % 8 == report.far_endpoint.D % 8 == 5, (m, n)
+
+
 def test_report_takes_each_full_size_root_once(monkeypatch):
     # isqrt is quadratic in the bit length on CPython 3.10 and 3.11, and gcd
     # on every version, so a report takes only the roots it needs: building
     # it roots the CF's D; the nonsquare checks of the dilatation's and the
-    # far endpoint's D and the final square check of each printed D are
-    # settled by the residue tables of _is_square, and the dilatation's
-    # float overflows before its root.  Printing a surd takes two gcds of
-    # its size.
+    # far endpoint's D are settled by the mod-64 screen of _is_square, as
+    # each is 5 mod 8, printing a D takes no square check, and the
+    # dilatation's float overflows before its root.  Printing a surd takes
+    # two gcds of its size.
     m, n = type_of(LevelSlope(1, 3000, 1))
     mat = build_report(m, n).matrix
     half = max(abs(mat.a), abs(mat.b), abs(mat.c), abs(mat.d)).bit_length() // 2

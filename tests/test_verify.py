@@ -3,6 +3,7 @@
 import pytest
 
 import lissbraid.verify as verify
+from lissbraid.algebra import A_MAT, Psl2Mat, frieze_w
 from lissbraid.verify import SUITES
 
 BOUNDS = {
@@ -38,11 +39,18 @@ def test_cf_details_are_clipped():
 
 def test_cluster_case_fails_on_a_wrong_product_or_translation(monkeypatch):
     # the suite compares the A/B word's product with M(W) and its translation
-    # with W, each a failing case and not an exception when they differ
+    # with W, and checks M(W) for symmetry, each a failing case and not an
+    # exception when they differ
     assert all(ok for _, ok, _ in verify.suite_cluster(max_m=10))
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "ab_to_matrix", lambda word: verify.A_MAT)
+        patch.setattr(verify, "ab_to_matrix", lambda word: A_MAT)
         assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_ab_to_reduced", lambda word: "p")
+        assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
+    asymmetric = Psl2Mat(1, 1, 0, 1)
+    with monkeypatch.context() as patch:
+        # the true W and a product that agrees with its matrix: only symmetry fails
+        patch.setattr(verify, "frieze_w", lambda half: (frieze_w(half)[0], asymmetric))
+        patch.setattr(verify, "ab_to_matrix", lambda word: asymmetric)
         assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
