@@ -6,6 +6,15 @@ fraction recurrence stays in integers.  Each value has one stored triple,
 read off its primitive minimal polynomial, so equal surds compare, hash
 and print alike; the printed d is free of the squares of primes up to
 1000 only.
+
+The period of a continued fraction is crossed one exact step per quotient
+while isqrt(D) has at most 1024 bits.  Past that, cf_expand reads batches
+of quotients off the top 62 bits of the state in small integers, moves the
+exact state across each batch with a few big-by-small products, and keeps
+a batch only after an exact certificate; the result is the same.  On
+CPython 3.11 (2-vCPU Xeon), exact steps alone take 15 ms at |m| = 10^4
+(label (1, 1/10000)) and 1.4 s at |m| = 10^5 (label (1, 10/99991)); with
+the batches, 5 ms and 0.25 s.
 """
 
 from __future__ import annotations
@@ -136,6 +145,47 @@ class CfExpansion(namedtuple("CfExpansion", "preperiod period")):
         return f"[{pre};({per})]" if pre else f"[({per})]"
 
 
+# cf_expand takes Lehmer batches once its root has more bits than this (the
+# measured crossover on CPython 3.11 and 3.12); no sweep root comes near it
+_BATCH_BITS = 1024
+# the most quotients in one batch, and the exact steps that open a cycle
+_BATCH = 64
+
+
+def _batch(u: int, q: int, q_prev: int, root: int):
+    """(quotients, u', Q', Q'_prev) of a batch from the reduced state
+    (u, Q, Q_prev) read off the top 62 bits of (u, Q), or None where an
+    exact step goes instead; cf_expand's docstring has the proof."""
+    s = u.bit_length() - 62
+    n0, d0 = u >> s, q >> s
+    if not d0:
+        return None
+    n, d, a, b = n0, d0, 1, 0
+    quotients = []
+    for _ in range(_BATCH):
+        t, r = 1, n - d
+        if r >= d:
+            t, r = divmod(n, d)
+        a_next = t * a + b
+        if r < a_next or d - r < a_next + a:
+            break
+        quotients.append(t)
+        n, d = d, r
+        a, b = a_next, a
+    if not quotients:
+        return None
+    sigma = -1 if len(quotients) & 1 else 1
+    c, e = (a * d0 - sigma * d) // n0, (b * d0 + sigma * n) // n0
+    p = u - root
+    x, y = q * a - p * c, p * a + q_prev * c
+    x2, y2 = q * b - p * e, p * b + q_prev * e
+    a, b, c, e = sigma * a, sigma * b, sigma * c, sigma * e
+    q_next, u_next = a * x - c * y, e * y - b * x + root
+    if 0 < q_next <= u_next:
+        return quotients, u_next, q_next, e * y2 - b * x2
+    return None
+
+
 def cf_expand(x: QuadSurd) -> CfExpansion:
     """Regular continued fraction of a quadratic surd, split where its
     period starts.
@@ -166,6 +216,40 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     a = 1 exactly when t < Q, and the remainder u - aQ is t; otherwise
     a - 1, t mod Q = divmod(t, Q).  Q' needs no multiply when a = 1.
     (u, Q) determines (P, Q), so the cycle closes when (u, Q) comes back.
+
+    Past _BATCH_BITS bits of r, the cycle also takes Lehmer batches (Knuth,
+    TAOCP vol. 2, 4.5.2, Algorithm L).  With s = bitlen(u) - 62, n = u >> s
+    and m = Q >> s, x = (u + f) / Q is (n + e) / (m + e') for some
+    0 <= e, e' < 1.  Euclid on n >= m > 0 in small integers gives quotients
+    a_i >= 1 and g = prod [[a_i, 1], [1, 0]] = [[A, B], [C, E]] with
+    sigma = det g = (-1)^j, and ends on (n_j, m_j) = g^-1 (n, m); the row
+    (A, B) is tracked and (C, E) follow by exact division.  g^-1 takes the
+    box to (n_j + sigma(E e - B e')) / (m_j + sigma(A e' - C e)), which is
+    > 1 when m_j >= A and n_j - m_j >= A + B, as A >= C and B >= E.  So the
+    loop stops before the first quotient that breaks this (a condition of
+    Jebelean's kind), or after _BATCH of them, which it never reaches:
+    n > A m_j >= A^2 and A >= Fibonacci(j + 1) give j <= 45.
+
+    With x = g y, y is a root of the form Q X^2 - 2P XY - Q_prev Y^2
+    composed with g and scaled by sigma:
+        Q' = sigma (Q A^2 - 2P AC - Q_prev C^2),
+        P' = -sigma (Q AB - P (AE + BC) - Q_prev CE),
+        Q'_prev = -sigma (Q B^2 - 2P BE - Q_prev E^2);
+    det g = +-1 keeps P'^2 + Q' Q'_prev = D, and j = 1 is the exact step,
+    so y = (P' + sqrt(D)) / Q' by induction on j.  Certificate: a batch is
+    kept only if 0 < Q' <= u' = P' + r, so y > 1.  Then the a_i are x's
+    regular quotients, as x = [a_0; ..., a_{j-1}, y]: from y_j = y > 1
+    back, y_i = a_i + 1 / y_{i+1} has floor a_i and, as a_i >= 1, is > 1.
+    So y is the j-th complete quotient and (P', Q') its state (sqrt(D) is
+    irrational).  A failed batch gives way to one exact step, so the stop
+    rule sets the speed, never the result.
+
+    Closure: the first _BATCH states of the cycle are kept as
+    {(u, Q): index}, and a period L <= _BATCH closes on the exact steps.
+    Otherwise a batch that ends at index t on kept state i closes
+    L = t - i: the states of one period are distinct, so no batch ends on a
+    kept state before index L, and the one that passes L, by at most
+    _BATCH steps, ends on index L + i with i < _BATCH.
     """
     p, q, d = x
     q_prev, rem = divmod(d - p * p, q)
@@ -182,7 +266,20 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
         q, q_prev = q_prev + a * (u - u_next), q
         u = u_next
     start, u0, q0 = len(terms), u, q
+    seen = {} if root.bit_length() > _BATCH_BITS else None
     while True:
+        if seen is not None:
+            k = len(terms) - start
+            if k < _BATCH:
+                seen[u, q] = k
+            elif batch := _batch(u, q, q_prev, root):
+                quotients, u, q, q_prev = batch
+                terms += quotients
+                k = seen.get((u, q))
+                if k is None:
+                    continue
+                del terms[len(terms) - k:]
+                break
         t = u - q
         if t < q:
             append(1)

@@ -360,6 +360,85 @@ def test_cf_expand_long_periods(surd, pre, period):
     assert abs(cf_evaluate(cf, 60) - surd.approx()) < 1e-9
 
 
+def _count_batches(monkeypatch):
+    """Wrap surd._batch; the list gets each batch's quotient count, 0 for
+    one that gave way to an exact step."""
+    taken = []
+
+    def counted(*args):
+        batch = batch_of(*args)
+        taken.append(len(batch[0]) if batch else 0)
+        return batch
+
+    batch_of = surd._batch
+    monkeypatch.setattr(surd, "_batch", counted)
+    return taken
+
+
+@pytest.mark.parametrize("label", [
+    LevelSlope(1, 3000, 1), LevelSlope(1, 2998, 1), LevelSlope(2, 1000, 3), LevelSlope(1, 10000, 1),
+])
+def test_batched_cf_expand_equals_cluster_terms(label, monkeypatch):
+    # above the threshold the cycle is crossed in batches; the oracle reads
+    # the terms off the label alone
+    taken = _count_batches(monkeypatch)
+    _, mat = frieze_w(build_H(normalize(*type_of(label))))
+    x = far_endpoint(mat)
+    assert math.isqrt(x.D).bit_length() > surd._BATCH_BITS
+    cf = cf_expand(x)
+    assert cf == CfExpansion((), tuple(2 * r - 1 for r in clusters_of(label).radii))
+    # every batch passes its certificate and they take all but the warm-up
+    assert taken and 0 not in taken, taken
+    assert len(cf.period) - surd._BATCH <= sum(taken) < len(cf.period)
+
+
+def _fixed_point_above_one(cycle):
+    # x = [cycle; x]: the root above 1 of c x^2 + (d - a) x - b = 0 for the
+    # product [[a, b], [c, d]] of the [[t, 1], [1, 0]]
+    a, b, c, d = 1, 0, 0, 1
+    for t in cycle:
+        a, b, c, d = a * t + b, a, c * t + d, c
+    return QuadSurd(a - d, 2 * c, (a - d) ** 2 + 4 * b * c)
+
+
+def test_batched_cf_expand_on_seeded_cycles(monkeypatch):
+    # primitive cycles of either parity, around and far past the warm-up
+    # length; terms 2^70 + 1 leave no divisor in the 62-bit window and take
+    # the exact step
+    taken = _count_batches(monkeypatch)
+    rng = random.Random(29)
+    big = 2**70 + 1
+    few = (big, big, big, 2, 1)
+    mixed = (1, 3, 50, big)
+    many = (1, 1, 1, 2, 3, 50)
+    cases = [(30, few), (63, mixed), (64, mixed), (65, mixed), (66, mixed), (129, mixed),
+             (130, mixed)] + [(rng.randrange(350, 800), many) for _ in range(10)]
+    parities = set()
+    for length, terms in cases:
+        while True:
+            cycle = tuple(big if terms is many and i % 20 == 0 else rng.choice(terms)
+                          for i in range(length))
+            x = _fixed_point_above_one(cycle)
+            primitive = all(cycle != cycle[k:] + cycle[:k] for k in range(1, length))
+            if primitive and math.isqrt(x.D).bit_length() > surd._BATCH_BITS:
+                break
+        assert cf_expand(x) == CfExpansion((), cycle), cycle
+        parities.add(length % 2)
+    assert parities == {0, 1}
+    assert sum(taken) > 2000 and 0 in taken
+
+
+@pytest.mark.parametrize("label", [LevelSlope(1, 2998, 1), LevelSlope(2, 1000, 3)])
+def test_batched_cf_expand_with_preperiod_equals_division_loop(label, monkeypatch):
+    taken = _count_batches(monkeypatch)
+    _, mat = frieze_w(build_H(normalize(*type_of(label))))
+    near = next(x for x in fixed_points(mat) if x != far_endpoint(mat))
+    assert math.isqrt(near.D).bit_length() > surd._BATCH_BITS
+    cf = cf_expand(near)
+    assert cf.preperiod and sum(taken) > len(cf.period) // 2
+    assert cf == _cf_by_division(near)
+
+
 def _split_square_by_every_f(d):
     """Reference: peel f^2 for every f up to 1000, then a perfect-square check."""
     if math.isqrt(d) ** 2 == d:
@@ -501,10 +580,13 @@ def test_report_takes_each_full_size_root_once(monkeypatch):
     # far endpoint's D are settled by the mod-64 screen of _is_square, as
     # each is 5 mod 8, printing a D takes no square check, and the
     # dilatation's float overflows before its root.  Printing a surd takes
-    # two gcds of its size.
+    # two gcds of its size.  This root is above surd._BATCH_BITS, so the
+    # CF takes batches, which need no root and no gcd.
     m, n = type_of(LevelSlope(1, 3000, 1))
-    mat = build_report(m, n).matrix
+    report = build_report(m, n)
+    mat = report.matrix
     half = max(abs(mat.a), abs(mat.b), abs(mat.c), abs(mat.d)).bit_length() // 2
+    assert math.isqrt(report.far_endpoint.D).bit_length() > surd._BATCH_BITS
     calls = {"isqrt": 0, "gcd": 0}
 
     def counted(name, fn):
