@@ -92,25 +92,6 @@ def second_half(half: str) -> str:
     return half.translate(_HALF_SWAP)
 
 
-def _cyclic_reduce(word: str) -> str:
-    # each pass conjugates by the last letter, which then merges with the
-    # first, so the length drops and the loop ends
-    w = reduce_frieze(word)
-    while len(w) >= 2 and _FACTOR[w[0]] == _FACTOR[w[-1]]:
-        w = reduce_frieze(w[-1] + w[:-1])
-    return w
-
-
-def cyclically_equal(w1: str, w2: str) -> bool:
-    """Conjugacy test in the free product: cyclic reductions agree up to rotation."""
-    u, v = _cyclic_reduce(w1), _cyclic_reduce(w2)
-    if len(u) != len(v):
-        return False
-    if not u:
-        return True
-    return v in u + u
-
-
 class Psl2Mat(namedtuple("Psl2Mat", "a b c d")):
     """Sign-normalized 2x2 integer matrix of determinant 1.
 

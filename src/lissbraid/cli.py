@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 usage/input error (including an empty verify or
-enumerate selection, a verify bound the suite does not take, an
+enumerate selection, a verify bound the suite does not take, a plot
+flag its --kind does not read, an
 enumerate --max-m given with --max-sum or --max-level, plot steps
 or syzygy periods above their caps, a syzygy output or a report whose
 syzygy word is above 10**7 letters, --max-m above 2000, --max-sum above
@@ -23,7 +24,7 @@ from .classify import LevelSlope, enumerate_labels, enumerate_p0, level_slope_of
 from .errors import LissbraidError
 from .lissajous import normalize, reduce_to_p0
 from .report import Report, build_report, collision_report_dict
-from .shapetrace import csv_shape, svg_halfplane, svg_shape
+from .shapetrace import DEFAULT_RATIO, csv_shape, svg_halfplane, svg_shape
 from .syzygy import omega, syzygy_sequence
 
 # the names of verify.SUITES, so that only `verify` imports the suites
@@ -79,11 +80,15 @@ def _int_digits_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
+def _flags(names: list[str]) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
 def _check_bounds(args) -> None:
     for name, cap in _MAX_BOUNDS.items():
         value = getattr(args, name)
         if value is not None and value > cap:
-            raise LissbraidError(f"--{name.replace('_', '-')} must be at most {cap}, got {value}")
+            raise LissbraidError(f"{_flags([name])} must be at most {cap}, got {value}")
 
 
 def _emit_report(report: Report, as_json: bool) -> None:
@@ -141,24 +146,28 @@ def cmd_syzygy(args) -> int:
 
 def cmd_plot(args) -> int:
     m, n = _parse_type(args.type)
-    if not 0 < args.ratio < 1:
-        raise LissbraidError(f"--ratio must lie in (0, 1), got {args.ratio}")
-    if not 2 <= args.steps <= _MAX_STEPS:
-        raise LissbraidError(f"--steps must lie in [2, {_MAX_STEPS}], got {args.steps}")
-    if not 1 <= args.max_denominator <= 100:
-        raise LissbraidError(f"--max-denominator must lie in [1, 100], got {args.max_denominator}")
-    if args.kind == "halfplane" and args.format == "csv":
-        raise LissbraidError("--format csv needs --kind shape; the half-plane figure is SVG only")
-    nt = normalize(m, n)
+    # a flag the figure does not read is refused, not silently ignored
+    foreign = ("ratio", "steps") if args.kind == "halfplane" else ("max_denominator",)
+    given = [name for name in foreign if getattr(args, name) is not None]
+    if given:
+        raise LissbraidError(f"--kind {args.kind} takes no {_flags(given)}")
     if args.kind == "shape":
-        if args.format == "csv":
-            path = csv_shape(nt, args.ratio, args.steps, args.out)
-        else:
-            path = svg_shape(nt, args.ratio, args.steps, args.out)
+        ratio = DEFAULT_RATIO if args.ratio is None else args.ratio
+        steps = 6000 if args.steps is None else args.steps
+        if not 0 < ratio < 1:
+            raise LissbraidError(f"--ratio must lie in (0, 1), got {ratio}")
+        if not 2 <= steps <= _MAX_STEPS:
+            raise LissbraidError(f"--steps must lie in [2, {_MAX_STEPS}], got {steps}")
+        write = csv_shape if args.format == "csv" else svg_shape
+        path = write(normalize(m, n), ratio, steps, args.out)
     else:
+        max_denominator = 8 if args.max_denominator is None else args.max_denominator
+        if not 1 <= max_denominator <= 100:
+            raise LissbraidError(f"--max-denominator must lie in [1, 100], got {max_denominator}")
+        if args.format == "csv":
+            raise LissbraidError("--format csv needs --kind shape; the half-plane figure is SVG only")
         _checked_p0(m, n)
-        report = build_report(m, n)
-        path = svg_halfplane(report.matrix, args.max_denominator, args.out)
+        path = svg_halfplane(build_report(m, n).matrix, max_denominator, args.out)
     print(path)
     return 0
 
@@ -193,9 +202,8 @@ def cmd_verify(args) -> int:
     bounds = {name: value for name, value in bounds.items() if value is not None}
     ignored = [name for name in bounds if name not in inspect.signature(suite).parameters]
     if ignored:
-        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
-        raise LissbraidError(f"the {args.suite} suite takes no {flags}")
-    cases = suite(seed=args.seed, **bounds)
+        raise LissbraidError(f"the {args.suite} suite takes no {_flags(ignored)}")
+    cases = suite(**bounds)
     if not cases:
         raise LissbraidError(f"the bounds select no {args.suite} cases")
     failures = 0
@@ -241,9 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("shape", "halfplane"), default="shape")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("svg", "csv"), default="svg")
-    p.add_argument("--ratio", type=float, default=0.05)
-    p.add_argument("--steps", type=int, default=6000)
-    p.add_argument("--max-denominator", type=int, default=8)
+    p.add_argument("--ratio", type=float, help="shape only; default 0.05")
+    p.add_argument("--steps", type=int, help="shape only; default 6000")
+    p.add_argument("--max-denominator", type=int, help="halfplane only; default 8")
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("enumerate", help="stream types or labels as JSON lines")
@@ -257,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int)
     p.add_argument("--max-sum", type=int)
     p.add_argument("--max-level", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,16 +1,16 @@
 """Cross-validation suites wiring the exact and numeric routes together.
 
 Each suite returns a list of (case, ok, detail) triples; the CLI prints
-one line per case and fails the run when any case fails.
+one line per case and fails the run when any case fails.  No suite is
+randomized; each keeps an unused `seed` keyword for the benchmark's calls.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from math import gcd
 
-from .algebra import _ab_to_reduced, ab_to_matrix, cyclically_equal, frieze_w
+from .algebra import _ab_to_reduced, ab_to_matrix, frieze_w
 from .classify import clusters_of, enumerate_labels, enumerate_p0, level_slope_of, type_of
 from .errors import LissbraidError
 from .lissajous import build_H, build_W, epsilon_seq, is_collision_free, normalize
@@ -112,7 +112,6 @@ def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
     ab_to_frieze, made here against the matrix frieze_w already returned.
     For A = [[0,1],[-1,0]], A M^-1 A = -M^T is M in PSL(2,Z) exactly when
     b = c or M = A, and M(W) has odd trace (frieze_w), so it is not A."""
-    rng = random.Random(seed)
     out: list[Case] = []
     for m, n in enumerate_p0(max_m):
         nt = normalize(m, n)
@@ -123,10 +122,7 @@ def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
         w_ab = build_W(nt)
         ok_w = _ab_to_reduced(w_ab) == w and ab_to_matrix(w_ab) == mat
         ok_sym = mat.b == mat.c
-        rot = rng.randrange(len(w))
-        ok_conj = cyclically_equal(w, w[rot:] + w[:rot])
-        out.append((f"cluster ({m},{n})", ok_letters and ok_w and ok_sym and ok_conj,
-                    f"H={_clip(h)}"))
+        out.append((f"cluster ({m},{n})", ok_letters and ok_w and ok_sym, f"H={_clip(h)}"))
     return out
 
 

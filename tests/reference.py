@@ -1,11 +1,11 @@
 """Reference functions that only the tests call.
 
 Each one restates a property of the paper's objects (letter factors,
-inverses and the S3 image of pbqd-words, the level-lifting substitution,
-difference sequences and their cluster lengths, the value of a continued
-fraction, reduced syzygy words, region itineraries and the third-turn
-symmetry of the shape curve) that the tests check the package against.
-No program path runs them, so they live beside the tests.
+inverses, conjugacy and the S3 image of pbqd-words, the level-lifting
+substitution, difference sequences and their cluster lengths, the value
+of a continued fraction, reduced syzygy words, region itineraries and
+the third-turn symmetry of the shape curve) that the tests check the
+package against. No program path runs them, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from math import gcd
 
 from lissbraid import shapetrace
-from lissbraid.algebra import _FACTOR, _INVERSE, check_frieze
+from lissbraid.algebra import _FACTOR, _INVERSE, check_frieze, reduce_frieze
 from lissbraid.lissajous import NormalizedType, _check_collision_free
 from lissbraid.shapetrace import _THIRD, DEFAULT_RATIO, psi_values, start_offset
 from lissbraid.surd import CfExpansion
@@ -48,6 +48,25 @@ def s3_image(word: str) -> int:
     """
     count = check_frieze(word).count
     return (count("p") + count("d") + 2 * (count("b") + count("q"))) % 3
+
+
+def _cyclic_reduce(word: str) -> str:
+    # each pass conjugates by the last letter, which then merges with the
+    # first, so the length drops and the loop ends
+    w = reduce_frieze(word)
+    while len(w) >= 2 and _FACTOR[w[0]] == _FACTOR[w[-1]]:
+        w = reduce_frieze(w[-1] + w[:-1])
+    return w
+
+
+def cyclically_equal(w1: str, w2: str) -> bool:
+    """Conjugacy test in the free product: cyclic reductions agree up to rotation."""
+    u, v = _cyclic_reduce(w1), _cyclic_reduce(w2)
+    if len(u) != len(v):
+        return False
+    if not u:
+        return True
+    return v in u + u
 
 
 # --- words -----------------------------------------------------------------

@@ -11,7 +11,6 @@ from lissbraid.algebra import (
     ab_to_frieze,
     ab_to_matrix,
     check_ab,
-    cyclically_equal,
     frieze_to_matrix,
     frieze_w,
     reduce_frieze,
@@ -19,7 +18,7 @@ from lissbraid.algebra import (
     trace_class,
 )
 from lissbraid.errors import InvariantError, NotPalindromic, OddACount
-from reference import a_conjugate, factor_of, frieze_inverse, s3_image
+from reference import a_conjugate, cyclically_equal, factor_of, frieze_inverse, s3_image
 
 frieze_words = st.text(alphabet="pbqd", max_size=50)
 

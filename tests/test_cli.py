@@ -318,6 +318,21 @@ def test_verify_bound_the_suite_does_not_take_exits_1(capsys, argv):
     assert err.startswith("error:") and argv[-2] in err and len(err.splitlines()) == 1
 
 
+def test_verify_takes_no_seed(capsys):
+    # no suite is randomized, so there is no seed to choose
+    code, out, err = run(capsys, "verify", "--suite", "cluster", "--seed", "1")
+    assert code == 1
+    assert out == "" and "--seed" in err
+
+
+@pytest.mark.parametrize("suite", ["bijection", "cf", "cluster"])
+def test_verify_exact_suite_golden_output(capsys, suite):
+    # the exact suites print no float, so their output is pinned byte for byte
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-m", "20")
+    assert code == 0 and err == ""
+    assert out == (DATA / f"golden_verify_{suite}.txt").read_text(encoding="utf-8")
+
+
 def test_verify_bound_the_suite_takes_still_runs(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "epsilon", "--max-m", "5")
     assert code == 0
@@ -418,6 +433,19 @@ def test_plot_rejects_csv_halfplane(tmp_path, capsys):
     assert code == 1
     assert out == "" and not out_path.exists()
     assert err.startswith("error:") and "--format" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind,flag,value", [("halfplane", "--ratio", "0.05"),
+                                             ("halfplane", "--steps", "6000"),
+                                             ("shape", "--max-denominator", "8")])
+def test_plot_rejects_a_flag_its_kind_ignores(tmp_path, capsys, kind, flag, value):
+    # even at its default value: a flag the figure does not read is an error
+    out_path = tmp_path / "f.svg"
+    code, out, err = run(capsys, "plot", "--type", "4,-5", "--kind", kind, flag, value,
+                         "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err == f"error: LissbraidError: --kind {kind} takes no {flag}\n"
 
 
 def test_plot_unwritable_out_exits_1(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_shift_identities():
 
 def test_class_words_are_conjugate():
     # W of any type is a cyclic rotation of W of its primitive representative
-    from lissbraid.algebra import cyclically_equal
+    from reference import cyclically_equal
 
     for m in range(-13, 14):
         for n in range(-27, 28):
