@@ -270,16 +270,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TYPE_VALUE = re.compile(r"^-?\d+,-?\d+$")
+_NEGATIVE_VALUES = {"--type": re.compile(r"^-?\d+,-?\d+$"),
+                    "--slope": re.compile(r"^-?\d+/-?\d+$")}
 
 
 def _glue_type_values(argv: list[str]) -> list[str]:
-    """Join '--type -5,7' into '--type=-5,7' so argparse does not read the
-    leading minus as an option prefix."""
+    """Join '--type -5,7' into '--type=-5,7' and '--slope -1/2' into
+    '--slope=-1/2' so argparse does not read the leading minus as an
+    option prefix."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--type" and _TYPE_VALUE.match(tok):
-            out[-1] = f"--type={tok}"
+        pattern = _NEGATIVE_VALUES.get(out[-1]) if out else None
+        if pattern and pattern.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -57,20 +57,24 @@ def _split_square(d: int) -> tuple[int, int]:
     """d = c*c * rest with rest free of the squares of primes up to 1000.
 
     Only the squares of the 168 primes up to 1000 are extracted; used for
-    display only.  A prime whose square divides d divides
-    g = gcd(d, product of the primes), so one gcd picks the primes to peel
-    and the big d is divided only by those.  This equals peeling f^2 for
-    every f up to 1000: once the squares of all primes below f are peeled,
-    f^2 cannot divide the rest for composite f, whose smallest prime factor
-    h has h^2 | f^2.  The one caller, QuadSurd.__str__, passes a nonsquare
-    D, so the rest is no square s^2: D = (cs)^2 would be one.
+    display only.  g = gcd(d, product of the primes) is squarefree, so a
+    prime f <= 1000 divides h = gcd(g, d // g) exactly when f^2 divides d:
+    h is the product of the primes to peel, and the big d is divided only
+    by those (for most D, h = 1 and nothing is peeled).  d // g is taken
+    mod g, as (d mod g^2) // g, so no gcd sees a number of d's size.  This
+    equals peeling f^2 for every f up to 1000: once the squares of all
+    primes below f are peeled, f^2 cannot divide the rest for composite f,
+    whose smallest prime factor p has p^2 | f^2.  The one caller,
+    QuadSurd.__str__, passes a nonsquare D, so the rest is no square s^2:
+    D = (cs)^2 would be one.
     """
-    c, g = 1, gcd(d, _PRIMORIAL)
+    g = gcd(d, _PRIMORIAL)
+    c, h = 1, gcd(g, d % (g * g) // g)
     for f in _PRIMES:
-        if g == 1:
+        if h == 1:
             break
-        if g % f == 0:
-            g //= f
+        if h % f == 0:
+            h //= f
             while d % (f * f) == 0:
                 d //= f * f
                 c *= f

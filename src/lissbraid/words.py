@@ -10,11 +10,11 @@ from math import gcd
 from .errors import MultiplePalindromes, NoPalindrome
 
 
-_BINARY = frozenset("01")
+_NOT_BINARY = str.maketrans("", "", "01")  # translate deletes the alphabet
 
 
 def _check_binary(word: str) -> str:
-    if not _BINARY.issuperset(word):
+    if word.translate(_NOT_BINARY):
         raise ValueError(f"not a word over '01': {word!r}")
     return word
 

@@ -3,9 +3,10 @@
 Each one restates a property of the paper's objects (letter factors,
 inverses, conjugacy and the S3 image of pbqd-words, the level-lifting
 substitution, difference sequences and their cluster lengths, the value
-of a continued fraction, reduced syzygy words, region itineraries and
-the third-turn symmetry of the shape curve) that the tests check the
-package against. No program path runs them, so they live beside the tests.
+of a continued fraction, the square part of a discriminant, reduced
+syzygy words, region itineraries and the third-turn symmetry of the
+shape curve) that the tests check the package against. No program path
+runs them, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from lissbraid import shapetrace
 from lissbraid.algebra import _FACTOR, _INVERSE, check_frieze, reduce_frieze
 from lissbraid.lissajous import NormalizedType, _check_collision_free
 from lissbraid.shapetrace import _THIRD, DEFAULT_RATIO, psi_values, start_offset
-from lissbraid.surd import CfExpansion
+from lissbraid.surd import _PRIMES, _PRIMORIAL, CfExpansion
 from lissbraid.words import _check_binary
 
 # --- algebra ---------------------------------------------------------------
@@ -128,6 +129,21 @@ def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:
     for a in reversed(quots[:-1]):
         value = a + 1.0 / value
     return value
+
+
+def split_square_by_primes(d: int) -> tuple[int, int]:
+    """surd._split_square by the loop over every prime dividing
+    g = gcd(d, product of the primes up to 1000), square or not."""
+    c, g = 1, gcd(d, _PRIMORIAL)
+    for f in _PRIMES:
+        if g == 1:
+            break
+        if g % f == 0:
+            g //= f
+            while d % (f * f) == 0:
+                d //= f * f
+                c *= f
+    return c, d
 
 
 # --- syzygy ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from lissbraid.algebra import (
     trace_class,
 )
 from lissbraid.errors import InvariantError, NotPalindromic, OddACount
+from lissbraid.words import _check_binary
 from reference import a_conjugate, cyclically_equal, factor_of, frieze_inverse, s3_image
 
 frieze_words = st.text(alphabet="pbqd", max_size=50)
@@ -103,17 +104,63 @@ def _alternating_word(rng, length, first_factor):
 
 
 def test_alternating_and_ab_words_equal_left_fold_at_every_leaf_tail():
-    # lengths 0 to 40 end in every partial 8-letter leaf, and 0 to 20 cover
+    # lengths 0 to 50 end in every partial 16-letter leaf, and 0 to 40 cover
     # the A/B words up to two full leaves and a partial third
     rng = random.Random(11)
-    for length in range(41):
+    for length in range(51):
         for first_factor in (0, 1):
             word = _alternating_word(rng, length, first_factor)
             assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
-    for length in range(21):
+    for length in range(41):
         for _ in range(4):
             word = "".join(rng.choice("AB") for _ in range(length))
             assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
+
+
+def test_leaf_memo_stops_at_its_cap(monkeypatch):
+    leaves = algebra._LeafEntries()
+    monkeypatch.setattr(algebra, "_LEAF_ENTRIES", leaves)
+    rng = random.Random(13)
+    words = [_alternating_word(rng, rng.randrange(100, 400), rng.randrange(2)) for _ in range(300)]
+    assert len({w[i:i + 16] for w in words for i in range(0, len(w), 16)}) > algebra._LEAF_CAP
+    for word in words + words:
+        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+    assert len(leaves) == algebra._LEAF_CAP
+    assert all(1 <= len(key) <= 16 for key in leaves)
+
+
+def _alternating_leaves(words):
+    leaves = {w[i:i + 16] for w in words for i in range(0, len(w), 16)}
+    return {leaf for leaf in leaves
+            if all(factor_of(a) != factor_of(b) for a, b in zip(leaf, leaf[1:]))}
+
+
+def test_unreduced_words_add_no_leaf(monkeypatch):
+    leaves = algebra._LeafEntries()
+    monkeypatch.setattr(algebra, "_LEAF_ENTRIES", leaves)
+    rng = random.Random(15)
+    unreduced = ["pp" * 40, "qbpd" * 20] + [
+        "".join(rng.choice("pbqd") for _ in range(301)) for _ in range(50)]
+    for word in unreduced:
+        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+    assert set(leaves) == _alternating_leaves(unreduced)
+    reduced = [reduce_frieze(word) for word in unreduced]
+    for word in reduced:
+        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+    assert set(leaves) == _alternating_leaves(unreduced + reduced) != set()
+
+
+@pytest.mark.parametrize("check,alphabet,other", [
+    (algebra.check_frieze, "pbqd", "A"),
+    (algebra.check_ab, "AB", "p"),
+    (_check_binary, "01", "p"),
+])
+def test_letter_checks_reject_every_other_character(check, alphabet, other):
+    for word in ("", alphabet, alphabet[::-1] * 3):
+        assert check(word) == word
+    for word in ("√", "P", "p\n", other, alphabet + other):
+        with pytest.raises(ValueError):
+            check(word)
 
 
 def test_chunk_memo_stays_bounded():

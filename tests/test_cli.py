@@ -106,6 +106,14 @@ def test_from_label_invalid_exits_1(capsys):
     assert "InvalidLabel" in err
 
 
+def test_from_label_negative_slope_is_an_invalid_label(capsys):
+    # the value of a separate --slope may start with a minus sign
+    for argv in (["--slope", "-1/2"], ["--slope=-1/2"]):
+        code, out, err = run(capsys, "from-label", "--level", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: InvalidLabel: bad label ranges: (N=1, -1/2)"]
+
+
 def test_cf_command(capsys):
     code, out, _ = run(capsys, "cf", "--type", "4,-5")
     assert code == 0

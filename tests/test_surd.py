@@ -19,7 +19,7 @@ from lissbraid.surd import (
     fixed_points,
     matches_cluster_period,
 )
-from reference import cf_evaluate
+from reference import cf_evaluate, split_square_by_primes
 
 W45 = Psl2Mat(10, 3, 3, 1)
 W_11_16 = Psl2Mat(586, -741, -741, 937)
@@ -461,6 +461,22 @@ def test_split_square_equals_trial_division_by_every_f():
     randoms = [rng.randrange(2, 10**e) for e in (4, 30) for _ in range(300)]
     for d in crafted + randoms:
         assert surd._split_square(d) == _split_square_by_every_f(d), d
+
+
+def test_split_square_equals_the_loop_over_every_prime_of_g():
+    # h = gcd(g, d // g) keeps only the primes whose square divides d; the
+    # sweep's D are the dilatations' and far endpoints' of every |m| <= 200
+    sweep = []
+    for m, n in enumerate_p0(200):
+        _, mat = frieze_w(build_H(normalize(m, n)))
+        sweep += [dilatation(mat).D, far_endpoint(mat).D]
+    assert len(sweep) == 4084
+    rng = random.Random(29)
+    planted = [rng.randrange(1, 10**rng.randrange(1, 40)) * rng.choice(surd._PRIMES) ** 2
+               * rng.choice((1, rng.choice(surd._PRIMES) ** 2, 997**2, 997**4))
+               for _ in range(2000)]
+    for d in sweep + planted + [997**2 * 5, 997**3, 2 * 3 * 997**2 * 991**2]:
+        assert surd._split_square(d) == split_square_by_primes(d), d
 
 
 def test_is_square_equals_root_check():
