@@ -120,9 +120,6 @@ class Psl2Mat(namedtuple("Psl2Mat", "a b c d")):
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "Psl2Mat":
-        return Psl2Mat(self.d, -self.b, -self.c, self.a)
-
     def trace(self) -> int:
         """Trace of the sign-normalized representative."""
         return self.a + self.d
@@ -145,80 +142,46 @@ LETTER_MATS = {
 
 
 _ENTRIES = dict(LETTER_MATS, A=A_MAT, B=LETTER_MATS["p"])  # (a, b, c, d) tuples
-_CHUNK = 8
-_LEAF = 2 * _CHUNK
-_LEAF_CAP = 2048
+_LEAF = 16
 
 
-def _keeps(word: str) -> bool:
-    """The memo rule: a validated word is kept when it alternates free
-    factors, or is an A/B word (whose letters have no factor digit)."""
-    factors = word.translate(_FACTOR_DIGIT)
-    return "00" not in factors and "11" not in factors
-
-
-class _ChunkEntries(dict):
-    """Integer entries of the product over each word chunk of 1 to 8
-    letters, the lower tier of the product memo: the leaf memo splits a
-    leaf it lacks into chunks and reads them here, and a chunk is filled
-    on first use.  Only validated words are chunked, and a pbqd chunk is
-    kept only when it alternates free factors (2^(k+1) such chunks of k
-    letters), so the keys are at most 4 + 8 + ... + 512 = 1020 pbqd
-    strings and 2 + 4 + ... + 256 = 510 A/B strings: the tier is bounded
-    by construction.  Every word the pipeline multiplies is
-    reduced; a chunk of any other word is multiplied out on each use.
-    Its values depend on the key alone, so every caller can share it."""
-
-    def __missing__(self, chunk):
-        a, b, c, d = 1, 0, 0, 1
-        for e, f, g, h in map(_ENTRIES.__getitem__, chunk):
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        entries = (a, b, c, d)
-        if _keeps(chunk):
-            self[chunk] = entries
-        return entries
-
-
-_CHUNK_ENTRIES = _ChunkEntries()
-
-
-class _LeafEntries(dict):
+class _Leaves(dict):
     """Integer entries of the product over each leaf of 1 to 16 letters,
-    the tier above the chunk memo.  A missing leaf costs one product of
-    its two chunks (one chunk if it has at most 8 letters).  A leaf is
-    kept under the chunk rule, and only while the tier holds fewer than
-    2048 keys: there are 2^17 alternating 16-letter leaves, but the words
-    the pipeline multiplies are built from Christoffel words, which have
-    few distinct factors of each length (654 leaves, 500 of them full,
-    over every W of the family sweep).  At the cap the tier holds about
-    0.6 MB, and a leaf that does not fit is built on each use.  As in the
-    chunk tier, the values depend on the key alone."""
+    multiplied out on first use and kept while fewer than maxsize are
+    held; past that, a new leaf is multiplied out on each use.
+
+    The words the pipeline multiplies are built from Christoffel words,
+    and a Sturmian word has only n + 1 factors of length n, so few
+    distinct leaves recur: 654 over every W of the family sweep, 171
+    more over the A/B words of the cluster suite to |m| = 200, and 827
+    over that suite on 1950 < |m| <= 2000.  2048 entries (about 0.4 MB)
+    hold all of them.  The values depend on the key alone, so every
+    caller shares the memo."""
+
+    maxsize = 2048
 
     def __missing__(self, leaf):
-        if len(leaf) <= _CHUNK:
-            entries = _CHUNK_ENTRIES[leaf]
-        else:
-            a, b, c, d = _CHUNK_ENTRIES[leaf[:_CHUNK]]
-            e, f, g, h = _CHUNK_ENTRIES[leaf[_CHUNK:]]
-            entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        if len(self) < _LEAF_CAP and _keeps(leaf):
+        a, b, c, d = 1, 0, 0, 1
+        for e, f, g, h in map(_ENTRIES.__getitem__, leaf):
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        entries = (a, b, c, d)
+        if len(self) < self.maxsize:
             self[leaf] = entries
         return entries
 
 
-_LEAF_ENTRIES = _LeafEntries()
+_LEAVES = _Leaves()
 
 
 def _product(word: str) -> Psl2Mat:
     """Product of the letter matrices of a validated pbqd or A/B word.
 
     The word is read in leaves of at most 16 letters through the leaf
-    memo, which builds a new leaf from the chunk memo, and the leaf
-    products are multiplied pairwise level by level, so both operands of
-    each product have about the same size and the big products use
-    CPython's subquadratic multiplication.  The determinant check and the
-    sign normalization run once, on the result."""
-    factors = [_LEAF_ENTRIES[word[i:i + _LEAF]] for i in range(0, len(word), _LEAF)]
+    memo, and the leaf products are multiplied pairwise level by level,
+    so both operands of each product have about the same size and the
+    big products use CPython's subquadratic multiplication.  The
+    determinant check and the sign normalization run once, on the result."""
+    factors = [_LEAVES[word[i:i + _LEAF]] for i in range(0, len(word), _LEAF)]
     while len(factors) > 1:
         pairs = iter(factors)
         merged = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)

@@ -210,8 +210,7 @@ def _sphere_xy(z: complex) -> tuple[float, float]:
     return (_SVG_SIZE / 2 + _SVG_SCALE * (z.real / s), _SVG_SIZE / 2 - _SVG_SCALE * (z.imag / s))
 
 
-def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 6000,
-              path: str = "shape.svg") -> str:
+def svg_shape(nt: NormalizedType, ratio: float, steps: int, path: str) -> str:
     """Shape-sphere figure: compressed equator, border rays, collision
     points, and the full-period curve.  Returns the path written."""
     from .classify import level_slope_of
@@ -258,8 +257,7 @@ def svg_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 600
     return path
 
 
-def csv_shape(nt: NormalizedType, ratio: float = DEFAULT_RATIO, steps: int = 2000,
-              path: str = "shape.csv") -> str:
+def csv_shape(nt: NormalizedType, ratio: float, steps: int, path: str) -> str:
     """CSV of one third of a period: header t,re_psi,im_psi, 12 significant digits."""
     _check_collision_free(nt)
     delta = start_offset(nt)
@@ -293,7 +291,7 @@ def farey_edges(x0: int, x1: int, max_denominator: int) -> list[tuple[Fraction, 
     return sorted(out)
 
 
-def svg_halfplane(mat: Psl2Mat, max_denominator: int = 8, path: str = "halfplane.svg") -> str:
+def svg_halfplane(mat: Psl2Mat, max_denominator: int, path: str) -> str:
     """Upper-half-plane figure: Farey tessellation (uncolored) and the axis
     of a hyperbolic matrix between its two fixed points.
 

@@ -1,12 +1,13 @@
 """Reference functions that only the tests call.
 
 Each one restates a property of the paper's objects (letter factors,
-inverses, conjugacy and the S3 image of pbqd-words, the level-lifting
-substitution, difference sequences and their cluster lengths, the value
-of a continued fraction, the square part of a discriminant, reduced
-syzygy words, region itineraries and the third-turn symmetry of the
-shape curve) that the tests check the package against. No program path
-runs them, so they live beside the tests.
+word and matrix inverses, conjugacy and the S3 image of pbqd-words, the
+level-lifting substitution, difference sequences and their cluster
+lengths, the value of a continued fraction, the square part of a
+discriminant, reduced syzygy words, region itineraries and the
+third-turn symmetry of the shape curve) that the tests check the
+package against. No program path runs them, so they live beside the
+tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from math import gcd
 
 from lissbraid import shapetrace
-from lissbraid.algebra import _FACTOR, _INVERSE, check_frieze, reduce_frieze
+from lissbraid.algebra import _FACTOR, _INVERSE, Psl2Mat, check_frieze, reduce_frieze
 from lissbraid.lissajous import NormalizedType, _check_collision_free
 from lissbraid.shapetrace import _THIRD, DEFAULT_RATIO, psi_values, start_offset
 from lissbraid.surd import _PRIMES, _PRIMORIAL, CfExpansion
@@ -35,6 +36,11 @@ def factor_of(letter: str) -> int:
 def frieze_inverse(word: str) -> str:
     """Inverse word (reversed, with each letter inverted in its factor)."""
     return check_frieze(word).translate(_INVERSE)[::-1]
+
+
+def mat_inverse(mat: Psl2Mat) -> Psl2Mat:
+    """Inverse of a PSL(2,Z) element: [[d, -b], [-c, a]]."""
+    return Psl2Mat(mat.d, -mat.b, -mat.c, mat.a)
 
 
 def a_conjugate(word: str) -> str:

@@ -17,9 +17,12 @@ from lissbraid.algebra import (
     second_half,
     trace_class,
 )
+from lissbraid.classify import enumerate_p0
 from lissbraid.errors import InvariantError, NotPalindromic, OddACount
+from lissbraid.lissajous import build_H, build_W, normalize
 from lissbraid.words import _check_binary
-from reference import a_conjugate, cyclically_equal, factor_of, frieze_inverse, s3_image
+from reference import (
+    a_conjugate, cyclically_equal, factor_of, frieze_inverse, mat_inverse, s3_image)
 
 frieze_words = st.text(alphabet="pbqd", max_size=50)
 
@@ -117,37 +120,34 @@ def test_alternating_and_ab_words_equal_left_fold_at_every_leaf_tail():
             assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
 
 
+def _leaves(words):
+    """The leaves _product reads from the memo, sliced without multiplying."""
+    size = algebra._LEAF
+    return {w[i:i + size] for w in words for i in range(0, len(w), size)}
+
+
 def test_leaf_memo_stops_at_its_cap(monkeypatch):
-    leaves = algebra._LeafEntries()
-    monkeypatch.setattr(algebra, "_LEAF_ENTRIES", leaves)
+    leaves = algebra._Leaves()
+    monkeypatch.setattr(algebra, "_LEAVES", leaves)
     rng = random.Random(13)
     words = [_alternating_word(rng, rng.randrange(100, 400), rng.randrange(2)) for _ in range(300)]
-    assert len({w[i:i + 16] for w in words for i in range(0, len(w), 16)}) > algebra._LEAF_CAP
+    assert len(_leaves(words)) > leaves.maxsize
     for word in words + words:
         assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
-    assert len(leaves) == algebra._LEAF_CAP
-    assert all(1 <= len(key) <= 16 for key in leaves)
+    assert len(leaves) == leaves.maxsize
 
 
-def _alternating_leaves(words):
-    leaves = {w[i:i + 16] for w in words for i in range(0, len(w), 16)}
-    return {leaf for leaf in leaves
-            if all(factor_of(a) != factor_of(b) for a, b in zip(leaf, leaf[1:]))}
-
-
-def test_unreduced_words_add_no_leaf(monkeypatch):
-    leaves = algebra._LeafEntries()
-    monkeypatch.setattr(algebra, "_LEAF_ENTRIES", leaves)
-    rng = random.Random(15)
-    unreduced = ["pp" * 40, "qbpd" * 20] + [
-        "".join(rng.choice("pbqd") for _ in range(301)) for _ in range(50)]
-    for word in unreduced:
-        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
-    assert set(leaves) == _alternating_leaves(unreduced)
-    reduced = [reduce_frieze(word) for word in unreduced]
-    for word in reduced:
-        assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
-    assert set(leaves) == _alternating_leaves(unreduced + reduced) != set()
+def test_pipeline_leaves_fit_half_the_leaf_memo():
+    # the words the pipeline multiplies reuse few 16-letter leaves (Sturmian
+    # words have n + 1 factors of length n): W and the A/B word of every
+    # type of the family sweep take 654 + 171 of them; 24-letter leaves
+    # would take 1975 for W alone
+    words = []
+    for m, n in enumerate_p0(200):
+        nt = normalize(m, n)
+        h = build_H(nt)
+        words += [h + second_half(h), build_W(nt)]
+    assert len(_leaves(words)) <= algebra._Leaves.maxsize // 2
 
 
 @pytest.mark.parametrize("check,alphabet,other", [
@@ -163,23 +163,21 @@ def test_letter_checks_reject_every_other_character(check, alphabet, other):
             check(word)
 
 
-def test_chunk_memo_stays_bounded():
-    # keys have 1 to 8 letters; a pbqd key alternates free factors, so there
-    # are at most 4 + 8 + ... + 512 pbqd keys and 2 + 4 + ... + 256 A/B keys
+def test_random_word_products_keep_the_leaf_memo_bounded(monkeypatch):
+    leaves = algebra._Leaves()
+    monkeypatch.setattr(algebra, "_LEAVES", leaves)
     rng = random.Random(9)
+    words = ["pp" * 40, "qbpd" * 20]
     for _ in range(500):
         word = "".join(rng.choice("pbqd") for _ in range(rng.randrange(0, 301)))
-        for w in (word, reduce_frieze(word)):
-            assert frieze_to_matrix(w) == _left_fold(LETTER_MATS[ch] for ch in w)
-        ab_word = "".join(rng.choice("AB") for _ in range(rng.randrange(0, 301)))
-        assert ab_to_matrix(ab_word) == _left_fold(_AB_MATS[ch] for ch in ab_word)
-    keys = list(algebra._CHUNK_ENTRIES)
-    assert all(isinstance(key, str) and 1 <= len(key) <= 8 for key in keys)
-    frieze_keys = [key for key in keys if set(key) <= set("pbqd")]
-    assert len(frieze_keys) <= 1020
-    assert all(factor_of(a) != factor_of(b) for key in frieze_keys for a, b in zip(key, key[1:]))
-    assert sum(set(key) <= set("AB") for key in keys) <= 510
-    assert all(set(key) <= set("pbqd") or set(key) <= set("AB") for key in keys)
+        words += [word, reduce_frieze(word)]
+    for w in words:
+        assert frieze_to_matrix(w) == _left_fold(LETTER_MATS[ch] for ch in w), w
+    ab_words = ["".join(rng.choice("AB") for _ in range(rng.randrange(0, 301))) for _ in range(500)]
+    for ab_word in ab_words:
+        assert ab_to_matrix(ab_word) == _left_fold(_AB_MATS[ch] for ch in ab_word), ab_word
+    assert len(_leaves(words + ab_words)) > leaves.maxsize
+    assert len(leaves) == leaves.maxsize
 
 
 def test_sign_normalization():
@@ -292,7 +290,7 @@ def test_second_half_examples():
 def test_second_half_is_a_inverse_a():
     for h in ("dbd", "bqpqbqpqb", "p", "bdbqpqbdbdbqpqbdb"):
         lhs = frieze_to_matrix(second_half(h))
-        assert lhs == A_MAT * frieze_to_matrix(h).inverse() * A_MAT
+        assert lhs == A_MAT * mat_inverse(frieze_to_matrix(h)) * A_MAT
 
 
 def test_second_half_needs_palindrome():

@@ -200,7 +200,7 @@ def test_float_oracles_reject_collision_types(tmp_path):
     with pytest.raises(CollisionType):
         region_itinerary(normalize(-5, 7))
     with pytest.raises(CollisionType):
-        csv_shape(normalize(-5, 7), path=str(tmp_path / "c.csv"))
+        csv_shape(normalize(-5, 7), 0.05, 6000, str(tmp_path / "c.csv"))
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -28,8 +28,9 @@ def test_no_assert_statements_in_package():
 
 
 def test_every_public_name_has_a_program_caller():
-    # a public name that no module of the package loads and the benchmark
-    # does not name is reached by tests alone, so it belongs under tests/
+    # a public name or public method that no module of the package loads and
+    # the benchmark does not name is reached by tests alone, so it belongs
+    # under tests/
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
     loaded = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
@@ -46,6 +47,8 @@ def test_every_public_name_has_a_program_caller():
     for node in (node for tree in trees for node in tree.body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.append(node.name)
+            if isinstance(node, ast.ClassDef):  # and the methods of a top-level class
+                bound += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [name.id for target in targets for name in ast.walk(target)
