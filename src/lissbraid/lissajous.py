@@ -17,6 +17,9 @@ from math import gcd
 
 from .algebra import reduce_two_letter
 from .errors import CollisionType, DivisibleByThree, NotCoprime
+from .words import _mechanical
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class NormalizedType(namedtuple("NormalizedType", "m n ell")):
@@ -55,36 +58,62 @@ def _check_collision_free(nt: NormalizedType) -> None:
         raise CollisionType(f"type {(nt.m, nt.n)} has even ell = {nt.ell}")
 
 
-def _bits(nt: NormalizedType, count: int):
-    """The sign s = sgn(m*ell) and the first count bits of the epsilon
-    sequence, as a lazy chain of C-level maps.
+def _bits(nt: NormalizedType, count: int) -> tuple[int, str]:
+    """The sign s = sgn(m*ell) and the first count >= 1 bits of the epsilon
+    sequence, as a string over "01".
 
-    bits[k] = floor(x / (2|m|)) mod 2 with x = |ell|(2k - 1), which is 1
-    exactly when x mod 4|m| >= 2|m|; the x form an arithmetic progression.
+    bits[k] = floor((2k - 1)L/2M) mod 2, k >= 1, with M = |m| and L = |ell|
+    odd and coprime to M.  The bits are the prefix parities of a periodic
+    Christoffel rotation, in three steps:
+
+    - L = L' + 2Mj with 0 < L' < 2M: floor((2k - 1)(L' + 2Mj)/2M) gains
+      (2k - 1)j, whose parity is j's, so the bits of L are those of L'
+      complemented when j is odd.
+    - (2k - 1)L'/2M is never an integer, as its numerator is odd, so
+      floor((2k - 1)(2M - L')/2M) = 2k - 2 - floor((2k - 1)L'/2M): L' and
+      2M - L' give the same parity.  So L' may be taken in (0, M], where
+      the first bit, floor(L'/2M), is 0 before the complement.
+    - (2k + 1)L'/2M = (c + 1/2)/M with the integer c = kL' + (L' - 1)/2,
+      and no multiple of M lies in (c, c + 1/2], so
+      floor((2k + 1)L'/2M) = floor((kL' + (L' - 1)/2)/M).  The increments
+      bits[k+1] - bits[k] mod 2, k = 1, 2, ..., are therefore the
+      mechanical word of slope L'/(M - L') and intercept (L' - 1)/2,
+      repeated with period M; L' = M only at M = 1, whose increments are
+      all 1.
+
+    The first bit and count - 1 increments, read as one binary number,
+    take their prefix parities in ceil(log2 count) XOR-shifts.
     """
     _check_collision_free(nt)
     am, al = abs(nt.m), abs(nt.ell)
     if gcd(am, al) != 1:
         raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
-    xs = range(al, al * (2 * count + 1), 2 * al)
-    return (1 if nt.m * nt.ell > 0 else -1), map((2 * am).__le__, map((4 * am).__rmod__, xs))
+    j, lp = divmod(al, 2 * am)
+    lp = min(lp, 2 * am - lp)
+    inc = _mechanical(am - lp, lp, (lp - 1) // 2) if lp < am else "1"
+    # ceil((count - 1) / am) periods hold the count - 1 increments
+    x = int("01"[j % 2] + (inc * ((count - 2) // am + 1))[:count - 1], 2)
+    shift = 1
+    while shift < count:
+        x ^= x >> shift
+        shift *= 2
+    return (1 if nt.m * nt.ell > 0 else -1), format(x, f"0{count}b")
 
 
 def _sign_word(nt: NormalizedType, count: int, minus: str, plus: str) -> str:
     """The first count signs s * (2*bits[k] - 1), -1 as minus and +1 as plus."""
     s, bits = _bits(nt, count)
-    low, high = (minus, plus) if s == 1 else (plus, minus)
-    return bytes(bits).translate(bytes.maketrans(b"\0\1", (low + high).encode())).decode()
+    return bits.translate(str.maketrans("01", minus + plus if s == 1 else plus + minus))
 
 
 def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
     """The 01-sequence bits[k] = floor(|ell|k/|m| - |ell|/(2|m|)) mod 2,
     k = 1..2|m|, whose sign form is sgn(m*ell) * (2*bits[k] - 1).
 
-    Evaluated as floor((2|ell|k - |ell|) / (2|m|)) in exact integers;
-    the argument is never an integer since |ell| is odd.
+    Read off _bits.  The argument (2|ell|k - |ell|) / (2|m|) is never an
+    integer, since |ell| is odd.
     """
-    return tuple(map(int, _bits(nt, 2 * abs(nt.m))[1]))
+    return tuple(_bits(nt, 2 * abs(nt.m))[1].encode().translate(_DIGIT_VALUES))
 
 
 def build_W(nt: NormalizedType) -> str:
@@ -94,7 +123,8 @@ def build_W(nt: NormalizedType) -> str:
 
     over the k = 2|m| signs e_i of the epsilon sequence.  A^{+-1} = A, so
     an A stands at each sign change; B^-1 is written BB.  e_{|m|+i} = -e_i,
-    since x / 2|m| in _bits grows by the odd |ell| over |m| steps.
+    since floor((2k - 1)|ell|/2|m|) in _bits grows by the odd |ell| when k
+    grows by |m|.
     """
     half = _sign_word(nt, abs(nt.m), "b", "B")
     signs = half + half.swapcase()

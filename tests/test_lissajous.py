@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from lissbraid.algebra import A_MAT, ab_to_frieze, frieze_w, reduce_frieze, reduce_two_letter
-from lissbraid.classify import enumerate_p0
+from lissbraid.classify import LevelSlope, enumerate_p0, type_of
 from lissbraid.errors import CollisionType, DivisibleByThree, NotCoprime
 from lissbraid.lissajous import (
     NormalizedType,
@@ -257,7 +257,7 @@ def test_is_primitive_examples():
 def _signs(nt, count):
     """The first count entries of the sign form s * (2*bits[k] - 1)."""
     s, bits = _bits(nt, count)
-    return tuple(map((-s, s).__getitem__, bits))
+    return tuple(s if b == "1" else -s for b in bits)
 
 
 def _signs_by_loop(nt):
@@ -266,6 +266,13 @@ def _signs_by_loop(nt):
     bits = tuple(((2 * al * k - al) // (2 * am)) % 2 for k in range(1, 2 * am + 1))
     s = 1 if nt.m * nt.ell > 0 else -1
     return bits, tuple(s * (2 * b - 1) for b in bits)
+
+
+def _bits_by_index(nt, count):
+    """Reference: _bits one index at a time."""
+    am, al = abs(nt.m), abs(nt.ell)
+    bits = "".join(str(((2 * k - 1) * al // (2 * am)) % 2) for k in range(1, count + 1))
+    return (1 if nt.m * nt.ell > 0 else -1), bits
 
 
 def _ab_by_loop(signs, sgn_m, last_exp_from_first):
@@ -312,6 +319,32 @@ def test_word_kernels_equal_per_letter_loops():
         h = _frieze_by_parity_scan(h_word)
         assert ab_to_frieze(h_word) == h and build_H(nt) == h, nt
         assert ab_to_frieze(w_word) == _frieze_by_parity_scan(w_word), nt
+
+
+def test_bits_on_small_ranges():
+    # |m| = 1, |ell| past 2|m| with floor(|ell|/2|m|) odd and even, and
+    # counts 1, |m| and 2|m|
+    folds = set()
+    for m in (1, -2, 4, -5, 7, -8, 10):
+        for ell in range(-9 * abs(m), 9 * abs(m) + 1, 2):
+            if gcd(m, ell) != 1:
+                continue
+            nt = NormalizedType(m, m - 3 * ell, ell)
+            folds.add(abs(ell) // (2 * abs(m)) % 2 if abs(ell) > 2 * abs(m) else None)
+            for count in (1, abs(m), 2 * abs(m)):
+                assert _bits(nt, count) == _bits_by_index(nt, count), (nt, count)
+    assert folds == {0, 1, None}
+
+
+@pytest.mark.parametrize("label", [(1, 100, 1), (1, 1000, 1), (50, 100, 1), (1, 10000, 1),
+                                   (1, 99981, 10)])
+def test_sign_kernels_equal_per_index_loops_at_scale(label):
+    # the seed-0 benchmark ladder labels and (1, 10/99981), |m| = 100 021
+    nt = normalize(*type_of(LevelSlope(*label)))
+    bits, signs = _signs_by_loop(nt)
+    assert epsilon_seq(nt) == bits and _signs(nt, 2 * abs(nt.m)) == signs
+    h_word = _ab_by_loop(signs[:abs(nt.m)], 1 if nt.m > 0 else -1, True)
+    assert build_H(nt) == _frieze_by_parity_scan(h_word)
 
 
 def test_build_W_equals_per_letter_loop_for_both_signs_of_m():

@@ -11,6 +11,7 @@ from lissbraid.words import (
     christoffel,
     palindromic_christoffel,
     palindromic_conjugate,
+    radius_blocks,
     rotations,
     varphi_n,
 )
@@ -62,6 +63,23 @@ def test_mechanical_equals_floor_differences():
         s = p + q
         for rho in (0, (s - 1) // 2, rng.randrange(s)):
             assert _mechanical(p, q, rho) == _mechanical_by_symbol(p, q, rho), (p, q, rho)
+
+
+def test_mechanical_equals_floor_differences_on_long_words():
+    for p, q in [(61803, 38197), (38197, 61803), (1, 99999), (99999, 1)]:
+        s = p + q
+        for rho in (0, (s - 1) // 2, 12345):
+            assert _mechanical(p, q, rho) == _mechanical_by_symbol(p, q, rho), (p, q, rho)
+
+
+def test_mechanical_takes_any_integer_intercept():
+    # the floor differences depend only on rho mod (p+q)
+    rng = random.Random(13)
+    for p, q in _coprime_pairs(40) + [(89, 55), (1, 1000)]:
+        s = p + q
+        for rho in (-1, -s, -s - 1, s, s + 1, 2 * s + 3, -7 * s + 2, rng.randrange(-10**6, 10**6)):
+            word = _mechanical(p, q, rho)
+            assert word == _mechanical_by_symbol(p, q, rho) == _mechanical(p, q, rho % s), (p, q, rho)
 
 
 def test_christoffel_balanced():
@@ -149,6 +167,40 @@ def test_varphi_n_matches_per_letter_form():
 def test_varphi_n_rejects_bad_input(level, w):
     with pytest.raises(ValueError):
         varphi_n(level, w)
+
+
+def _radius_blocks_by_letter(level, word, pairs):
+    """Reference: radius_blocks one letter at a time."""
+    blocks = []
+    for i, ch in enumerate(word):
+        x, y = pairs[i % len(pairs)]
+        blocks.append((x + y) * (level - 1 + int(ch)) + x)
+    return "".join(blocks)
+
+
+def test_radius_blocks_equals_per_letter_reference():
+    rng = random.Random(23)
+    for pairs in [("+-",), ("db", "pq"), ("bd", "qp"), ("12", "23", "31")]:
+        for _ in range(300):
+            level = rng.randint(1, 12)
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, 60)))
+            assert radius_blocks(level, word, pairs) == _radius_blocks_by_letter(level, word, pairs), \
+                (level, word, pairs)
+
+
+@pytest.mark.parametrize("level,w,pairs,match", [
+    (0, "01", ("+-",), "level"),
+    (1, "012", ("+-",), "not a word"),
+    (2, "0a", ("db", "pq"), "not a word"),
+    (1, "01", (), "pairs"),
+    (1, "01", ("\x01+",), "pairs"),
+    (1, "01", ("db", "p\x03"), "pairs"),
+    (1, "01", ("\u0101\u0102",) * 65, "pairs"),
+])
+def test_radius_blocks_rejects_bad_input(level, w, pairs, match):
+    # a pair letter below chr(2 len(pairs)) would be read as a letter's tag
+    with pytest.raises(ValueError, match=match):
+        radius_blocks(level, w, pairs)
 
 
 @pytest.mark.parametrize("m,l,expected", [
