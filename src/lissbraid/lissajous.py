@@ -20,6 +20,7 @@ from .errors import CollisionType, DivisibleByThree, NotCoprime
 from .words import _mechanical
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_FLIPPED_VALUES = bytes.maketrans(b"01", b"\1\0")
 
 
 class NormalizedType(namedtuple("NormalizedType", "m n ell")):
@@ -58,13 +59,13 @@ def _check_collision_free(nt: NormalizedType) -> None:
         raise CollisionType(f"type {(nt.m, nt.n)} has even ell = {nt.ell}")
 
 
-def _bits(nt: NormalizedType, count: int) -> tuple[int, str]:
-    """The sign s = sgn(m*ell) and the first count >= 1 bits of the epsilon
+def _bits(nt: NormalizedType) -> tuple[int, str]:
+    """The sign s = sgn(m*ell) and the first M = |m| bits of the epsilon
     sequence, as a string over "01".
 
-    bits[k] = floor((2k - 1)L/2M) mod 2, k >= 1, with M = |m| and L = |ell|
-    odd and coprime to M.  The bits are the prefix parities of a periodic
-    Christoffel rotation, in three steps:
+    bits[k] = floor((2k - 1)L/2M) mod 2, k >= 1, with L = |ell| odd and
+    coprime to M.  The bits are the prefix parities of a Christoffel
+    rotation, in three steps:
 
     - L = L' + 2Mj with 0 < L' < 2M: floor((2k - 1)(L' + 2Mj)/2M) gains
       (2k - 1)j, whose parity is j's, so the bits of L are those of L'
@@ -76,13 +77,14 @@ def _bits(nt: NormalizedType, count: int) -> tuple[int, str]:
     - (2k + 1)L'/2M = (c + 1/2)/M with the integer c = kL' + (L' - 1)/2,
       and no multiple of M lies in (c, c + 1/2], so
       floor((2k + 1)L'/2M) = floor((kL' + (L' - 1)/2)/M).  The increments
-      bits[k+1] - bits[k] mod 2, k = 1, 2, ..., are therefore the
-      mechanical word of slope L'/(M - L') and intercept (L' - 1)/2,
-      repeated with period M; L' = M only at M = 1, whose increments are
-      all 1.
+      bits[k+1] - bits[k] mod 2, k = 1..M - 1, are therefore the first
+      M - 1 letters of the mechanical word of slope L'/(M - L') and
+      intercept (L' - 1)/2; L' = M only at M = 1, which has none.
 
-    The first bit and count - 1 increments, read as one binary number,
-    take their prefix parities in ceil(log2 count) XOR-shifts.
+    The first bit and the M - 1 increments, read as one binary number,
+    take their prefix parities in ceil(log2 M) XOR-shifts.  The next M bits
+    are their complement, bits[M + k] = 1 - bits[k], since
+    floor((2k - 1)L/2M) grows by the odd L when k grows by M.
     """
     _check_collision_free(nt)
     am, al = abs(nt.m), abs(nt.ell)
@@ -90,30 +92,25 @@ def _bits(nt: NormalizedType, count: int) -> tuple[int, str]:
         raise NotCoprime(f"gcd(|m|, |ell|) != 1 for {(nt.m, nt.n)}")
     j, lp = divmod(al, 2 * am)
     lp = min(lp, 2 * am - lp)
-    inc = _mechanical(am - lp, lp, (lp - 1) // 2) if lp < am else "1"
-    # ceil((count - 1) / am) periods hold the count - 1 increments
-    x = int("01"[j % 2] + (inc * ((count - 2) // am + 1))[:count - 1], 2)
-    shift = 1
-    while shift < count:
-        x ^= x >> shift
-        shift *= 2
-    return (1 if nt.m * nt.ell > 0 else -1), format(x, f"0{count}b")
+    inc = _mechanical(am - lp, lp, (lp - 1) // 2)[:am - 1] if lp < am else ""
+    x = int("01"[j % 2] + inc, 2)
+    for i in range((am - 1).bit_length()):   # ceil(log2 M) rounds
+        x ^= x >> (1 << i)
+    return (1 if nt.m * nt.ell > 0 else -1), format(x, f"0{am}b")
 
 
-def _sign_word(nt: NormalizedType, count: int, minus: str, plus: str) -> str:
-    """The first count signs s * (2*bits[k] - 1), -1 as minus and +1 as plus."""
-    s, bits = _bits(nt, count)
+def _sign_word(nt: NormalizedType, minus: str, plus: str) -> str:
+    """The first |m| signs s * (2*bits[k] - 1), -1 as minus and +1 as plus."""
+    s, bits = _bits(nt)
     return bits.translate(str.maketrans("01", minus + plus if s == 1 else plus + minus))
 
 
 def epsilon_seq(nt: NormalizedType) -> tuple[int, ...]:
     """The 01-sequence bits[k] = floor(|ell|k/|m| - |ell|/(2|m|)) mod 2,
-    k = 1..2|m|, whose sign form is sgn(m*ell) * (2*bits[k] - 1).
-
-    Read off _bits.  The argument (2|ell|k - |ell|) / (2|m|) is never an
-    integer, since |ell| is odd.
-    """
-    return tuple(_bits(nt, 2 * abs(nt.m))[1].encode().translate(_DIGIT_VALUES))
+    k = 1..2|m|, whose sign form is sgn(m*ell) * (2*bits[k] - 1): the |m|
+    bits of _bits, then their complement."""
+    half = _bits(nt)[1].encode()
+    return tuple(half.translate(_DIGIT_VALUES) + half.translate(_FLIPPED_VALUES))
 
 
 def build_W(nt: NormalizedType) -> str:
@@ -123,10 +120,9 @@ def build_W(nt: NormalizedType) -> str:
 
     over the k = 2|m| signs e_i of the epsilon sequence.  A^{+-1} = A, so
     an A stands at each sign change; B^-1 is written BB.  e_{|m|+i} = -e_i,
-    since floor((2k - 1)|ell|/2|m|) in _bits grows by the odd |ell| when k
-    grows by |m|.
+    as the bits of the second half complement the first (_bits).
     """
-    half = _sign_word(nt, abs(nt.m), "b", "B")
+    half = _sign_word(nt, "b", "B")
     signs = half + half.swapcase()
     minus_m = "b" if nt.m > 0 else "B"   # the sign e with sgn(m) e = -1
     head = "A" if signs[0] == minus_m else ""
@@ -154,7 +150,7 @@ def build_H(nt: NormalizedType) -> str:
     steps by 0 or 1 and never by 0 twice: no three equal signs in a row.
     """
     x, y = ("p", "d") if nt.m > 0 else ("q", "b")
-    return reduce_two_letter(_sign_word(nt, abs(nt.m), y, x), x, y)
+    return reduce_two_letter(_sign_word(nt, y, x), x, y)
 
 
 def is_primitive(m: int, n: int) -> bool:

@@ -255,9 +255,10 @@ def test_is_primitive_examples():
 # --- the per-letter kernels, kept as the reference ---------------------------
 
 def _signs(nt, count):
-    """The first count entries of the sign form s * (2*bits[k] - 1)."""
-    s, bits = _bits(nt, count)
-    return tuple(s if b == "1" else -s for b in bits)
+    """The first count entries of the sign form s * (2*bits[k] - 1), with
+    s from _bits and the bits from epsilon_seq."""
+    s = _bits(nt)[0]
+    return tuple(s if b else -s for b in epsilon_seq(nt)[:count])
 
 
 def _signs_by_loop(nt):
@@ -322,8 +323,8 @@ def test_word_kernels_equal_per_letter_loops():
 
 
 def test_bits_on_small_ranges():
-    # |m| = 1, |ell| past 2|m| with floor(|ell|/2|m|) odd and even, and
-    # counts 1, |m| and 2|m|
+    # |m| = 1 and |ell| past 2|m| with floor(|ell|/2|m|) odd and even: _bits
+    # over its |m| bits, and epsilon_seq's complemented second half over 2|m|
     folds = set()
     for m in (1, -2, 4, -5, 7, -8, 10):
         for ell in range(-9 * abs(m), 9 * abs(m) + 1, 2):
@@ -331,8 +332,9 @@ def test_bits_on_small_ranges():
                 continue
             nt = NormalizedType(m, m - 3 * ell, ell)
             folds.add(abs(ell) // (2 * abs(m)) % 2 if abs(ell) > 2 * abs(m) else None)
-            for count in (1, abs(m), 2 * abs(m)):
-                assert _bits(nt, count) == _bits_by_index(nt, count), (nt, count)
+            assert _bits(nt) == _bits_by_index(nt, abs(m)), nt
+            bits = "".join(map(str, epsilon_seq(nt)))
+            assert bits == _bits_by_index(nt, 2 * abs(m))[1], nt
     assert folds == {0, 1, None}
 
 

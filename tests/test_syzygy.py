@@ -68,16 +68,17 @@ def test_is_reduced(seq, expected):
     assert is_reduced(seq) is expected
 
 
-def _walk_by_letter(m, n, periods):
-    """Reference: the per-letter walk over omega, built radius by radius."""
-    drive = "".join("+-" * (r - 1) + "+" for r in clusters_of(level_slope_of(m, n)).radii) * (6 * periods)
+def _walk_by_letter(m, n):
+    """Reference: the per-letter walk over one period, six copies of omega
+    built radius by radius; the arcs it visits and the arc it ends at."""
+    drive = "".join("+-" * (r - 1) + "+" for r in clusters_of(level_slope_of(m, n)).radii) * 6
     direction = -1 if m > 0 else 1
     arc, out = 1, []
     for sign in drive:
         out.append(arc)
         step = direction if sign == "+" else -direction
         arc = (arc - 1 + step) % 3 + 1
-    return "".join(map(str, out))
+    return "".join(map(str, out)), arc
 
 
 def test_syzygy_equals_per_letter_walk():
@@ -86,7 +87,9 @@ def test_syzygy_equals_per_letter_walk():
     for m, n in types:
         label = level_slope_of(m, n)
         assert omega(label) == "".join("+-" * (r - 1) + "+" for r in clusters_of(label).radii)
-        # the walk from arc 1 over more copies of omega extends the walk over fewer
-        walk = _walk_by_letter(m, n, 3)
+        # the walk is deterministic and one period brings it back to arc 1,
+        # so the walk over k periods is the one-period walk repeated k times
+        walk, end = _walk_by_letter(m, n)
+        assert end == 1, (m, n)
         for periods in (1, 2, 3):
-            assert syzygy_sequence(m, n, periods) == walk[:len(walk) * periods // 3], (m, n)
+            assert syzygy_sequence(m, n, periods) == walk * periods, (m, n)

@@ -4,6 +4,8 @@ import pytest
 
 import lissbraid.verify as verify
 from lissbraid.algebra import A_MAT, Psl2Mat, frieze_w
+from lissbraid.classify import ClusterSeq
+from lissbraid.surd import CfExpansion
 from lissbraid.verify import SUITES
 
 BOUNDS = {
@@ -35,6 +37,19 @@ def test_suite_takes_seed_and_rejects_other_keywords(name):
 def test_cf_details_are_clipped():
     # the period and radii lists grow with |m|; each is clipped to 40 characters
     assert all(len(detail) <= 100 for _, _, detail in SUITES["cf"](max_m=200))
+
+
+@pytest.mark.parametrize("count", [19, 20, 21, 500])
+def test_cf_detail_clips_its_first_20_terms_as_the_whole_list(count, monkeypatch):
+    # the suite prints only the first 20 terms of each list; the line is the
+    # clip of the whole list, for one-digit terms (the shortest) and others
+    for terms in ((1,) * count, tuple(range(1, count + 1)), (10**50,) * count):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "cf_expand", lambda x: CfExpansion((), terms))
+            patch.setattr(verify, "clusters_of", lambda label: ClusterSeq(terms, ""))
+            (case,) = verify.suite_cf(max_m=1)
+        clipped = verify._clip(str(list(terms)))
+        assert case[2] == f"period={clipped} radii={clipped}"
 
 
 def test_cluster_case_fails_on_a_wrong_product_or_translation(monkeypatch):
