@@ -152,11 +152,11 @@ class _Leaves(dict):
 
     The words the pipeline multiplies are built from Christoffel words,
     and a Sturmian word has only n + 1 factors of length n, so few
-    distinct leaves recur: 654 over every W of the family sweep, 171
-    more over the A/B words of the cluster suite to |m| = 200, and 827
-    over that suite on 1950 < |m| <= 2000.  2048 entries (about 0.4 MB)
-    hold all of them.  The values depend on the key alone, so every
-    caller shares the memo."""
+    distinct leaves recur: 786 over the half H of every W of the family
+    sweep (frieze_to_matrix multiplies H alone), 171 more over the A/B
+    words of the cluster suite to |m| = 200, and 983 over that suite on
+    1950 < |m| <= 2000.  2048 entries (about 0.4 MB) hold all of them.
+    The values depend on the key alone, so every caller shares the memo."""
 
     maxsize = 2048
 
@@ -194,8 +194,21 @@ def _product(word: str) -> Psl2Mat:
 
 def frieze_to_matrix(word: str) -> Psl2Mat:
     """Product of the per-letter matrices, as a balanced product tree; the
-    empty word is the identity."""
-    return _product(check_frieze(word))
+    empty word is the identity.
+
+    A word h + second_half(h) of a palindrome h = x_1 ... x_n, the shape of
+    every W, has the matrix M(h) M(h)^T, from the product over h alone.
+    second_half swaps p<->d, b<->q, which is x -> x' = A x^-1 A letter by
+    letter (A b A = d, A p A = q), so as h reads x_n ... x_1 backwards,
+    second_half(h) = x_n' ... x_1' = A h^-1 A, since A^2 = 1.  For
+    A = [[0,1],[-1,0]], A X^-1 A = -X^T, which is X^T in PSL(2,Z)."""
+    check_frieze(word)
+    h = word[:len(word) // 2]
+    if len(word) % 2 or h != h[::-1] or word[len(h):] != h.translate(_HALF_SWAP):
+        return _product(word)
+    a, b, c, d = _product(h)
+    s = a * c + b * d
+    return Psl2Mat(a * a + b * b, s, s, c * c + d * d)
 
 
 def frieze_w(half: str) -> tuple[str, Psl2Mat]:

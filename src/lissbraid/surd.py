@@ -39,10 +39,7 @@ _PRIMES = (
 )
 
 
-# the squares mod 64, all 0, 1 or 4 mod 8, settle every report D, which is
-# 5 mod 8: t^2 - 4 for the odd trace t of M(W) (algebra.frieze_w), or that
-# over g^2 for the fixed points' content g, odd as an even g makes b, c even,
-# so ad = 1 + bc odd and t even.  Only other callers' D may take a root.
+# the squares mod 64 reject 52 of the 64 residues without a root
 _SQUARES_64 = frozenset(i * i % 64 for i in range(64))
 
 
@@ -321,20 +318,38 @@ def _check_hyperbolic(mat: Psl2Mat) -> None:
         raise NotHyperbolic(f"{mat} has |trace| <= 2")
 
 
+def _canonical(p: int, q: int, d: int) -> QuadSurd:
+    """The QuadSurd of a triple canonical by construction, without
+    __new__'s checks and reduction.  The callers build
+    - (u, 2c', D) and (-u, -2c', D), the fixed points, from c' x^2 - u x - b',
+      primitive as _fixed_point_quadratic divides out its content, c' != 0;
+    - (|t|, 2, t^2 - 4), the dilatation, from x^2 - |t| x + 1, primitive.
+    Each is (-b, 2a, b^2 - 4ac) of its polynomial a x^2 + b x + c, negated
+    to pick the -sqrt root.  D > 0 is no square, so the polynomial is
+    minimal: D g^2 = (d - a)^2 + 4bc = t^2 - 4 for the content g, and
+    t^2 - 4 = s^2 with s >= 0 gives (|t| - s)(|t| + s) = 4, two factors of
+    equal parity, so |t| = 2, which _check_hyperbolic rejects."""
+    return tuple.__new__(QuadSurd, (p, q, d))
+
+
 def _fixed_point_quadratic(mat: Psl2Mat) -> tuple[int, int, int]:
     """(c', u, D): the fixed points' c x^2 + (d - a) x - b = 0 with its content
     g > 0 divided out is c' x^2 - u x - b' = 0, of discriminant u^2 + 4 c' b'.
-    c' != 0: c = 0 and det 1 force a = d = +-1, which _check_hyperbolic rejects."""
+    c' != 0: c = 0 and det 1 force a = d = +-1, which _check_hyperbolic rejects.
+    The content is gcd(b, c, d - a) in this order, so a symmetric matrix,
+    as every M(W) is, takes one full-size gcd, and b' = c'."""
     _check_hyperbolic(mat)
-    g = gcd(mat.c, mat.d - mat.a, mat.b)
-    c, u, b = mat.c // g, (mat.a - mat.d) // g, mat.b // g
-    return c, u, u * u + 4 * c * b
+    a, b, c, d = mat
+    g = gcd(b, c, d - a)
+    c1, u = c // g, (a - d) // g
+    b1 = c1 if b == c else b // g
+    return c1, u, u * u + 4 * c1 * b1
 
 
 def fixed_points(mat: Psl2Mat) -> tuple[QuadSurd, QuadSurd]:
     """The two real fixed points (u +- sqrt(D)) / 2c' of a hyperbolic matrix."""
     c, u, disc = _fixed_point_quadratic(mat)
-    return QuadSurd(u, 2 * c, disc), QuadSurd(-u, -2 * c, disc)
+    return _canonical(u, 2 * c, disc), _canonical(-u, -2 * c, disc)
 
 
 def far_endpoint(mat: Psl2Mat) -> QuadSurd:
@@ -344,12 +359,11 @@ def far_endpoint(mat: Psl2Mat) -> QuadSurd:
     the content, and |u + sqrt(D)| > |u - sqrt(D)| exactly when u > 0.  So
     the -sqrt branch is farther exactly when d > a, and u = 0 is a tie.
     """
-    c, u, disc = _fixed_point_quadratic(mat)
-    return QuadSurd(-u, -2 * c, disc) if mat.d > mat.a else QuadSurd(u, 2 * c, disc)
+    return fixed_points(mat)[mat.d > mat.a]
 
 
 def dilatation(mat: Psl2Mat) -> QuadSurd:
     """Larger eigenvalue (|t| + sqrt(t^2 - 4)) / 2 of a hyperbolic matrix."""
     _check_hyperbolic(mat)
     t = abs(mat.trace())
-    return QuadSurd(t, 2, t * t - 4)
+    return _canonical(t, 2, t * t - 4)

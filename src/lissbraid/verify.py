@@ -113,8 +113,11 @@ def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
 
     The A/B word W_ab translates to W and has its matrix: the two checks of
     ab_to_frieze, made here against the matrix frieze_w already returned.
-    For A = [[0,1],[-1,0]], A M^-1 A = -M^T is M in PSL(2,Z) exactly when
-    b = c or M = A, and M(W) has odd trace (frieze_w), so it is not A."""
+    frieze_to_matrix builds M(W) as M(H) M(H)^T, so b = c holds by
+    construction; the independent product over W_ab is what checks that
+    square.  For A = [[0,1],[-1,0]], A M^-1 A = -M^T is M in PSL(2,Z)
+    exactly when b = c or M = A, and M(W) has odd trace (frieze_w), so it
+    is not A."""
     out: list[Case] = []
     for m, n in enumerate_p0(max_m):
         nt = normalize(m, n)

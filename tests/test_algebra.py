@@ -120,6 +120,55 @@ def test_alternating_and_ab_words_equal_left_fold_at_every_leaf_tail():
             assert ab_to_matrix(word) == _left_fold(_AB_MATS[ch] for ch in word), word
 
 
+def _palindromes(rng):
+    """Seeded pbqd palindromes of lengths 1 to 300: an unreduced one at each
+    length, and a reduced one at each odd length, the only lengths at which
+    a palindrome alternates factors."""
+    for length in range(1, 301):
+        for reduced in (False, True)[:1 + length % 2]:
+            size = (length + 1) // 2
+            head = (_alternating_word(rng, size, rng.randrange(2)) if reduced
+                    else "".join(rng.choice("pbqd") for _ in range(size)))
+            yield head + head[:length // 2][::-1]
+
+
+def _recording_product(monkeypatch):
+    calls = []
+    product = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda word: calls.append(word) or product(word))
+    return calls
+
+
+def test_w_shaped_words_square_the_product_over_their_half(monkeypatch):
+    calls = _recording_product(monkeypatch)
+    for h in _palindromes(random.Random(17)):
+        w = h + second_half(h)
+        calls.clear()
+        assert frieze_to_matrix(w) == _left_fold(LETTER_MATS[ch] for ch in w), h
+        assert calls == [h], h
+
+
+def test_near_w_shaped_words_take_the_whole_product(monkeypatch):
+    # an odd length, a first half that is no palindrome, and one wrong
+    # letter in the second half each fail one clause of the shape check
+    rng = random.Random(19)
+    calls = _recording_product(monkeypatch)
+    for h in list(_palindromes(rng))[2::5]:
+        w = h + second_half(h)
+        near = [w + rng.choice("pbqd"), w[1:]]
+        i = rng.randrange(len(h))
+        other = rng.choice("pbqd".replace(w[len(h) + i], ""))
+        near.append(w[:len(h) + i] + other + w[len(h) + i + 1:])
+        if len(h) > 1:
+            i = rng.choice([j for j in range(len(h)) if j != len(h) - 1 - j])
+            broken = h[:i] + rng.choice("pbqd".replace(h[i], "")) + h[i + 1:]
+            near.append(broken + broken.translate(algebra._HALF_SWAP))
+        for word in near:
+            calls.clear()
+            assert frieze_to_matrix(word) == _left_fold(LETTER_MATS[ch] for ch in word), word
+            assert calls == [word], word
+
+
 def _leaves(words):
     """The leaves _product reads from the memo, sliced without multiplying."""
     size = algebra._LEAF
@@ -139,14 +188,13 @@ def test_leaf_memo_stops_at_its_cap(monkeypatch):
 
 def test_pipeline_leaves_fit_half_the_leaf_memo():
     # the words the pipeline multiplies reuse few 16-letter leaves (Sturmian
-    # words have n + 1 factors of length n): W and the A/B word of every
-    # type of the family sweep take 654 + 171 of them; 24-letter leaves
-    # would take 1975 for W alone
+    # words have n + 1 factors of length n): H, the half that W's matrix
+    # is squared from, and the A/B word of every type of the family sweep
+    # take 786 + 171 of them; 24-letter leaves would take 2043 for H alone
     words = []
     for m, n in enumerate_p0(200):
         nt = normalize(m, n)
-        h = build_H(nt)
-        words += [h + second_half(h), build_W(nt)]
+        words += [build_H(nt), build_W(nt)]
     assert len(_leaves(words)) <= algebra._Leaves.maxsize // 2
 
 

@@ -246,6 +246,24 @@ def test_far_endpoint_equals_abs_comparison():
         assert far_endpoint(mat) == (minus if _abs_cmp(plus, minus) < 0 else plus), mat
 
 
+def test_report_surds_equal_the_constructor_triples():
+    # fixed_points, far_endpoint and dilatation build their triples without
+    # QuadSurd's reduction: each must equal the constructor's from the
+    # unreduced quadratic c x^2 + (d - a) x - b and from x^2 - |t| x + 1
+    sweep = [frieze_w(build_H(normalize(m, n)))[1] for m, n in enumerate_p0(200)]
+    randoms = [mat for mat in _random_hyperbolic(random.Random(29)) if mat.b != mat.c]
+    signs = [(m.d > m.a) - (m.d < m.a) for m in randoms]
+    assert len(sweep) == 2042 and min(signs.count(s) for s in (-1, 0, 1)) >= 100
+    for mat in sweep + randoms:
+        a, b, c, d = mat
+        disc, t = (a - d) ** 2 + 4 * b * c, abs(a + d)
+        plus, minus = QuadSurd(a - d, 2 * c, disc), QuadSurd(d - a, -2 * c, disc)
+        got = [*fixed_points(mat), far_endpoint(mat), dilatation(mat)]
+        want = [plus, minus, minus if d > a else plus, QuadSurd(t, 2, t * t - 4)]
+        assert all(type(x) is QuadSurd for x in got)
+        assert [tuple(x) for x in got] == [tuple(x) for x in want], mat
+
+
 def test_cf_expand_examples():
     assert cf_expand(QuadSurd(3, 2, 13)) == CfExpansion((), (3,))
     cf = cf_expand(QuadSurd(9, 38, 1525))
@@ -577,9 +595,10 @@ def test_family_cf_periods_odd_and_matching():
 
 
 def test_report_trace_is_odd_and_each_d_is_5_mod_8():
-    # the facts that let the mod-64 screen settle every report D (see
-    # algebra.frieze_w and surd._SQUARES_64) and the cluster suite read
-    # A M^-1 A = M off the entries, over the sweep and the ladder labels
+    # the odd trace (algebra.frieze_w) that lets the cluster suite read
+    # A M^-1 A = M off the entries, the symmetry that frieze_to_matrix's
+    # square gives, and the residue of each D, over the sweep and the
+    # ladder labels
     ladder = [type_of(LevelSlope(level, p, 1))
               for level, p in ((1, 100), (1, 1000), (50, 100), (1, 10000))]
     for m, n in enumerate_p0(200) + ladder:
@@ -592,9 +611,8 @@ def test_report_trace_is_odd_and_each_d_is_5_mod_8():
 def test_report_takes_each_full_size_root_once(monkeypatch):
     # isqrt is quadratic in the bit length on CPython 3.10 and 3.11, and gcd
     # on every version, so a report takes only the roots it needs: building
-    # it roots the CF's D; the nonsquare checks of the dilatation's and the
-    # far endpoint's D are settled by the mod-64 screen of _is_square, as
-    # each is 5 mod 8, printing a D takes no square check, and the
+    # it roots the CF's D; the dilatation and the far endpoint are built as
+    # canonical triples, with no square check, printing a D takes none, and the
     # dilatation's float overflows before its root.  Printing a surd takes
     # two gcds of its size.  This root is above surd._BATCH_BITS, so the
     # CF takes batches, which need no root and no gcd.

@@ -52,9 +52,12 @@ def test_christoffel_length_and_counts():
 
 
 def _mechanical_by_symbol(p, q, rho):
-    """Reference: the mechanical word one floor difference at a time."""
+    """Reference: the mechanical word as the differences of consecutive
+    floors (q k + rho) // (p + q), k = 0 .. p + q, each floor taken once;
+    as 0 <= q < p + q, each difference is 0 or 1."""
     s = p + q
-    return "".join(str((q * k + rho) // s - (q * (k - 1) + rho) // s) for k in range(1, s + 1))
+    floors = [(q * k + rho) // s for k in range(s + 1)]
+    return "".join(["01"[b - a] for a, b in zip(floors, floors[1:])])
 
 
 def test_mechanical_equals_floor_differences():
