@@ -12,6 +12,12 @@ over numpy arrays and the figures point by point with cmath, through one
 formula; numpy is imported inside the oracles, so only they load it and
 every CLI command but `verify --suite epsilon|collision|syzygy` runs
 without it.
+
+Each oracle takes a list of types and refines a batch of them in one
+numpy pass per round.  A type's samples meet the same float operations
+as when it ran alone, element by element (numpy's complex multiply,
+divide, exp, abs and angle, and its sin, are elementwise), so every
+type keeps the bits it had alone.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Iterable
 from math import gcd
 
 from .algebra import Psl2Mat
@@ -48,14 +55,25 @@ def start_offset(nt: NormalizedType) -> float:
     return -sgn_l / (600.0 * abs(nt.m * nt.ell))
 
 
-def _psi(exp, nt: NormalizedType, ratio: float):
-    """psi as a function of t: over float arrays with exp = numpy.exp, over
-    floats with exp = cmath.exp.  The constants are the products that the
-    formula evaluates left to right, so both give the same bits up to the
-    two complex divisions (numpy multiplies by a reciprocal)."""
+def _rates(nt: NormalizedType) -> tuple[complex, complex]:
+    """The exponent rates of psi's two factors, 6 pi i ell and -4 pi i m."""
+    return 6j * math.pi * nt.ell, -4j * math.pi * nt.m
+
+
+def _psi(exp, fast, slow, ratio: float):
+    """psi as a function of t, from the rates fast and slow of _rates.
+
+    Over floats with exp = cmath.exp and scalar rates (the figures); over
+    float arrays with exp = numpy.exp and scalar rates (one type) or rates
+    repeated per sample (a batch of types).  The constants are the
+    products that the formula evaluates left to right, so both give the
+    same bits up to the two complex divisions (numpy multiplies by a
+    reciprocal).  numpy's complex multiply, divide, exp, abs and angle act
+    element by element, so a sample's bits do not depend on the batch
+    around it."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0,1), got {ratio}")
-    fast, slow, ir = 6j * math.pi * nt.ell, -4j * math.pi * nt.m, 1j * ratio
+    ir = 1j * ratio
 
     def psi(t):
         osc = exp(fast * t)
@@ -65,7 +83,7 @@ def _psi(exp, nt: NormalizedType, ratio: float):
 
 def psi_values(nt: NormalizedType, ratio: float, ts: np.ndarray) -> np.ndarray:
     import numpy as np
-    return _psi(np.exp, nt, ratio)(np.asarray(ts, dtype=float))
+    return _psi(np.exp, *_rates(nt), ratio)(np.asarray(ts, dtype=float))
 
 
 def _sample_times(t0: float, t1: float, steps: int) -> list[float]:
@@ -76,35 +94,90 @@ def _sample_times(t0: float, t1: float, steps: int) -> list[float]:
     return [i * step + t0 for i in range(steps - 1)] + [t1]
 
 
-def epsilon_oracle(nt: NormalizedType) -> tuple[int, ...]:
-    """Bits from geometry: bit k is 0 iff sign(1 - |psi(t_k)|) = sign(ell),
-    at the collision-passage times t_k = 1/(12|m|) + (k-1)/(6|m|).
+# A batch takes types in input order until the next would push its
+# samples per round past this cap; a larger type runs alone.  One
+# epsilon_oracle call over the 2127 types of the epsilon suite at
+# |m| <= 200 (Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon, best of 5) takes
+# 0.32 s one type at a time, 0.11, 0.09 and 0.11 s at caps of 2^10, 2^12
+# and 2^14 samples, 0.11 s unbounded; its peak RSS is 34-36 MB up to
+# 2^14 and 97 MB unbounded.  syzygy_oracle over |m| <= 100 peaks at
+# 38 MB at 2^12 and at 59 MB unbounded.
+_BATCH_SAMPLES = 1 << 12
+
+
+def _batches(items, check, size):
+    """Consecutive runs of items whose sizes sum to at most _BATCH_SAMPLES,
+    an item larger than that alone.  Each item passes check before its run
+    is yielded; the first that fails raises after the run before it, so
+    the first failing item in input order raises, as when each ran alone."""
+    batch, total = [], 0
+    for item in items:
+        try:
+            check(item)
+        except (LissbraidError, ValueError):
+            if batch:
+                yield batch
+            raise
+        if batch and total + size(item) > _BATCH_SAMPLES:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += size(item)
+    if batch:
+        yield batch
+
+
+def epsilon_oracle(nts: Iterable[NormalizedType]) -> list[tuple[int, ...]]:
+    """Bits from geometry, one tuple per type: bit k is 0 iff
+    sign(1 - |psi(t_k)|) = sign(ell), at the collision-passage times
+    t_k = 1/(12|m|) + (k-1)/(6|m|).
 
     The amplitude ratio is halved, at most 20 times, until two
-    consecutive ratios agree.
+    consecutive ratios agree for a type.  Each round evaluates the
+    samples of every type of a batch not yet agreed in one pass.
     """
-    import numpy as np
-    _check_collision_free(nt)
-    am = abs(nt.m)
-    sgn_l = 1 if nt.ell > 0 else -1
-    ts = np.array([1.0 / (12 * am) + (k - 1) / (6.0 * am) for k in range(1, 2 * am + 1)])
+    return [bits for batch in _batches(nts, _check_collision_free, lambda nt: 2 * abs(nt.m))
+            for bits in _epsilon_batch(batch)]
 
-    def bits_at(r: float) -> tuple[int, ...]:
-        radii = np.abs(psi_values(nt, r, ts))
-        return tuple(np.where((1.0 - radii) * sgn_l > 0, 0, 1).tolist())
+
+def _epsilon_batch(nts: list[NormalizedType]) -> list[tuple[int, ...]]:
+    import numpy as np
+    counts = np.array([2 * abs(nt.m) for nt in nts])
+    am = np.repeat(counts // 2, counts)
+    k = np.arange(len(am)) - np.repeat(counts.cumsum() - counts, counts)    # k - 1 of each type
+    # the same float operations as 1.0 / (12 * am) + (k - 1) / (6.0 * am) on Python numbers
+    ts = 1.0 / (12 * am) + k / (6.0 * am)
+    fast, slow = (np.repeat(rate, counts) for rate in zip(*map(_rates, nts)))
+    sgn_l = np.repeat([1 if nt.ell > 0 else -1 for nt in nts], counts)
+    out: list = [None] * len(nts)
+    live = np.arange(len(nts))      # the types not yet agreed, by batch index
+
+    def bits_at(ratio: float) -> np.ndarray:
+        radii = np.abs(_psi(np.exp, fast, slow, ratio)(ts))
+        return np.where((1.0 - radii) * sgn_l > 0, 0, 1)
 
     ratio = DEFAULT_RATIO
     prev = bits_at(ratio)
     for _ in range(20):
         ratio /= 2.0
         cur = bits_at(ratio)
-        if cur == prev:
-            return cur
-        prev = cur
+        starts = counts.cumsum() - counts
+        agreed = np.logical_and.reduceat(cur == prev, starts)
+        bits = cur.tolist()
+        for i, a, c in zip(live[agreed].tolist(), starts[agreed].tolist(), counts[agreed].tolist()):
+            out[i] = tuple(bits[a:a + c])
+        keep = np.repeat(~agreed, counts)
+        ts, fast, slow, sgn_l, prev = ts[keep], fast[keep], slow[keep], sgn_l[keep], cur[keep]
+        live, counts = live[~agreed], counts[~agreed]
+        if not len(live):
+            return out
+    nt = nts[live[0]]
     raise Unstable(f"epsilon bits did not stabilise for {(nt.m, nt.n)}")
 
 
-def _pairwise_min(m: int, n: int, ts: np.ndarray) -> np.ndarray:
+def _pairwise_min(m, n, ts: np.ndarray) -> np.ndarray:
+    """Minimum distance of two of the three bodies at times ts; for a batch,
+    m and n are columns beside the rows of ts."""
     import numpy as np
     pos = np.sin(2 * math.pi * m * ts) + 1j * np.sin(2 * math.pi * n * ts)
     a = np.sin(2 * math.pi * m * (ts - 1 / 3)) + 1j * np.sin(2 * math.pi * n * (ts - 1 / 3))
@@ -112,8 +185,15 @@ def _pairwise_min(m: int, n: int, ts: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(a - pos), np.minimum(np.abs(pos - c), np.abs(c - a)))
 
 
-def collision_scan(m: int, n: int) -> float:
-    """Minimum pairwise distance of the three bodies over one period.
+def _check_coprime(pair: tuple[int, int]) -> None:
+    m, n = pair
+    if gcd(m, n) != 1:
+        raise ValueError(f"gcd{(m, n)} != 1")
+
+
+def collision_scan(pairs: Iterable[tuple[int, int]]) -> list[float]:
+    """Minimum pairwise distance of the three bodies over one period, one
+    float per type (m, n).
 
     The coarse grid has 512 points per unit of the larger frequency, so
     within one cell of its argmin the distance has a single minimum (it
@@ -122,76 +202,112 @@ def collision_scan(m: int, n: int) -> float:
     beside the smallest sample.  A unimodal function has its minimum
     next to its smallest sample, so those cells still bracket it, and
     12 rounds shrink the bracket 16^12-fold, below float resolution.
+    The coarse grid runs per type; each zoom round samples the brackets
+    of a whole batch as the rows of one grid.
     """
+    return [best for batch in _batches(pairs, _check_coprime, lambda pair: 33)
+            for best in _collision_batch(batch)]
+
+
+def _collision_batch(pairs: list[tuple[int, int]]) -> list[float]:
     import numpy as np
-    if gcd(m, n) != 1:
-        raise ValueError(f"gcd{(m, n)} != 1")
-    steps = max(2048, 512 * max(abs(m), abs(n)))
-    # collision times are rationals, which an unshifted grid hits; a shift by
-    # an irrational fraction of a cell leaves the minimum's last digits to the zoom
-    ts = (np.arange(steps) + (math.sqrt(5) - 1) / 2) / steps
-    dist = _pairwise_min(m, n, ts)
-    i = int(np.argmin(dist))
-    best = float(dist[i])
-    lo, hi = ts[i] - 1.0 / steps, ts[i] + 1.0 / steps
+    brackets = []
+    for m, n in pairs:
+        steps = max(2048, 512 * max(abs(m), abs(n)))
+        # collision times are rationals, which an unshifted grid hits; a shift by
+        # an irrational fraction of a cell leaves the minimum's last digits to the zoom
+        ts = (np.arange(steps) + (math.sqrt(5) - 1) / 2) / steps
+        dist = _pairwise_min(m, n, ts)
+        i = int(np.argmin(dist))
+        brackets.append((ts[i] - 1.0 / steps, ts[i] + 1.0 / steps, dist[i]))
+    lo, hi, best = np.array(brackets).T
+    m, n = np.array(pairs).T[:, :, None]
+    rows = np.arange(len(pairs))
     for _ in range(12):
-        grid = np.linspace(lo, hi, 33)
+        # 32 cells, a power of two: numpy's linspace gives each row the
+        # bits of its own one-row call
+        grid = np.linspace(lo, hi, 33, axis=1)
         dist = _pairwise_min(m, n, grid)
-        j = int(np.argmin(dist))
-        best = min(best, float(dist[j]))
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
-    return best
+        j = np.argmin(dist, axis=1)
+        best = np.minimum(best, dist[rows, j])
+        lo, hi = grid[rows, np.maximum(j - 1, 0)], grid[rows, np.minimum(j + 1, 32)]
+    return best.tolist()
 
 
-def _crossings(nt: NormalizedType, ratio: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times and angles in [0, 2pi) of the equator crossings over one full
-    period, each bisected 80 times, all brackets at once.
-
-    The closed interval [delta, 1 + delta] brackets all 6|ell| crossings;
-    its endpoints sit strictly between crossings by the choice of delta.
-    """
-    import numpy as np
-    delta = start_offset(nt)
-    ts = np.linspace(delta, 1.0 + delta, steps + 1)
-    f = np.abs(psi_values(nt, ratio, ts)) - 1.0
-    i = np.nonzero(f[:-1] * f[1:] < 0)[0]
-    lo, hi, flo = ts[i], ts[i + 1], f[i]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = np.abs(psi_values(nt, ratio, mid)) - 1.0
-        left = flo * fmid <= 0
-        hi = np.where(left, mid, hi)
-        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
-    t = 0.5 * (lo + hi)
-    return t, np.angle(psi_values(nt, ratio, t)) % (2 * math.pi)
+def _check_traceable(nt: NormalizedType) -> None:
+    _check_collision_free(nt)
+    start_offset(nt)
 
 
-def syzygy_oracle(nt: NormalizedType) -> str:
-    """Arc labels of the equator crossings of one period, from geometry.
+def syzygy_oracle(nts: Iterable[NormalizedType]) -> list[str]:
+    """Arc labels of the equator crossings of one period, from geometry,
+    one string per type.
 
     Arc 1 is arg in (0, 2pi/3), arc 2 (2pi/3, 4pi/3), arc 3 (4pi/3, 2pi).
-    A wrong crossing count, or a crossing within the guard distance of a
-    collision point, triggers a retry with half the amplitude ratio.  When
-    6 ratios fail, the error is BorderHit if one of them grazed, else
+    The closed interval [delta, 1 + delta] brackets all 6|ell| crossings;
+    its endpoints sit strictly between crossings by the choice of delta.
+    Each type's grid finds its brackets; each of 80 bisection rounds then
+    halves the brackets of a whole batch in one pass.  A wrong crossing
+    count, or a crossing within the guard distance of a collision point,
+    triggers a retry of that type with half the amplitude ratio.  When 6
+    ratios fail, the error is BorderHit if one of them grazed, else
     Unstable.
     """
+    return [word for batch in _batches(nts, _check_traceable, lambda nt: 6 * abs(nt.ell))
+            for word in _syzygy_batch(batch)]
+
+
+def _brackets(nt: NormalizedType, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of the type's grid over [delta, 1 + delta] where |psi| - 1
+    changes sign: their ends and |psi| - 1 at their left ends."""
     import numpy as np
-    _check_collision_free(nt)
-    expected = 6 * abs(nt.ell)
-    last_err: BorderHit | None = None
+    delta = start_offset(nt)
+    ts = np.linspace(delta, 1.0 + delta, max(4096, 256 * 6 * abs(nt.ell)) + 1)
+    f = np.abs(psi_values(nt, ratio, ts)) - 1.0
+    i = np.nonzero(f[:-1] * f[1:] < 0)[0]
+    return ts[i], ts[i + 1], f[i]
+
+
+def _syzygy_batch(nts: list[NormalizedType]) -> list[str]:
+    import numpy as np
+    out: list = [None] * len(nts)
+    last_err: dict[int, BorderHit] = {}
+    live = range(len(nts))
     for attempt in range(6):
-        t, theta = _crossings(nt, DEFAULT_RATIO / 2**attempt, steps=max(4096, 256 * expected))
-        if len(t) != expected:
-            continue
-        rem = theta % _THIRD
-        grazes = np.nonzero(np.minimum(rem, _THIRD - rem) < CROSSING_GUARD)[0]
-        if len(grazes):
-            last_err = BorderHit(f"crossing at angle {theta[grazes[0]]} grazes a collision point")
-            continue
-        # rotate so the crossing nearest an integer time comes first
-        first = int(np.argmin(np.abs(t - np.round(t))))
-        return "".join(map(str, np.roll(1 + (theta // _THIRD).astype(int), -first)))
-    raise last_err or Unstable(f"could not isolate {expected} crossings for {(nt.m, nt.n)}")
+        ratio = DEFAULT_RATIO / 2**attempt
+        brackets = [_brackets(nts[i], ratio) for i in live]
+        counts = [len(lo) for lo, _, _ in brackets]
+        lo, hi, flo = map(np.concatenate, zip(*brackets))
+        rates = zip(*(_rates(nts[i]) for i in live))
+        psi = _psi(np.exp, *(np.repeat(rate, counts) for rate in rates), ratio)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fmid = np.abs(psi(mid)) - 1.0
+            left = flo * fmid <= 0
+            hi = np.where(left, mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+        t = 0.5 * (lo + hi)
+        theta = np.angle(psi(t)) % (2 * math.pi)
+        retry = []
+        ends = np.cumsum(counts)[:-1]
+        for i, t_i, theta_i in zip(live, np.split(t, ends), np.split(theta, ends)):
+            if len(t_i) == 6 * abs(nts[i].ell):
+                rem = theta_i % _THIRD
+                grazes = np.nonzero(np.minimum(rem, _THIRD - rem) < CROSSING_GUARD)[0]
+                if not len(grazes):
+                    # rotate so the crossing nearest an integer time comes first
+                    first = int(np.argmin(np.abs(t_i - np.round(t_i))))
+                    out[i] = "".join(map(str, np.roll(1 + (theta_i // _THIRD).astype(int), -first)))
+                    continue
+                last_err[i] = BorderHit(f"crossing at angle {theta_i[grazes[0]]} grazes "
+                                        "a collision point")
+            retry.append(i)
+        live = retry
+        if not live:
+            return out
+    nt = nts[live[0]]
+    raise last_err.get(live[0]) or Unstable(
+        f"could not isolate {6 * abs(nt.ell)} crossings for {(nt.m, nt.n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +334,7 @@ def svg_shape(nt: NormalizedType, ratio: float, steps: int, path: str) -> str:
 
     _check_collision_free(nt)
     delta = start_offset(nt)
-    psi = _psi(cmath.exp, nt, ratio)
+    psi = _psi(cmath.exp, *_rates(nt), ratio)
     label = level_slope_of(*reduce_to_p0(nt))
     meta = f"type=({nt.m},{nt.n}) level={label.level} slope={label.slope_str}"
     pts = " ".join(f"{x:.2f},{y:.2f}"
@@ -261,7 +377,7 @@ def csv_shape(nt: NormalizedType, ratio: float, steps: int, path: str) -> str:
     """CSV of one third of a period: header t,re_psi,im_psi, 12 significant digits."""
     _check_collision_free(nt)
     delta = start_offset(nt)
-    psi = _psi(cmath.exp, nt, ratio)
+    psi = _psi(cmath.exp, *_rates(nt), ratio)
     ts = _sample_times(delta, 1.0 / 3.0 + delta, steps)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,re_psi,im_psi\n")

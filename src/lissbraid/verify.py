@@ -37,6 +37,20 @@ def normalized_types(max_m: int, max_n: int):
                 yield m, n
 
 
+# A suite hands a float oracle at most this many types a call.  An
+# epsilon result holds 2|m| ints, so one list for every type at the CLI
+# cap |m| <= 2000 would take about 4 GB, and a slice takes at most 8 MB.
+# The default box of each suite is one slice.
+_ORACLE_SLICE = 256
+
+
+def _sliced(oracle: Callable[[list], list], items: list):
+    """The results of oracle over items, one slice of items a call, so
+    that the results of one slice at a time are held."""
+    for i in range(0, len(items), _ORACLE_SLICE):
+        yield from oracle(items[i:i + _ORACLE_SLICE])
+
+
 def _clip(detail: str) -> str:
     return detail if len(detail) < 40 else detail[:37] + "..."
 
@@ -47,11 +61,10 @@ def suite_epsilon(max_m: int = 30, seed: int = 0) -> list[Case]:
     types with |m| <= max_m and the fixed box of normalized_types(15, 31)."""
     types = dict.fromkeys(enumerate_p0(max_m))
     types.update(dict.fromkeys(normalized_types(15, 31)))
+    nts = [normalize(m, n) for m, n in types]
     out: list[Case] = []
-    for m, n in types:
-        nt = normalize(m, n)
+    for (m, n), nt, numeric in zip(types, nts, _sliced(epsilon_oracle, nts), strict=True):
         exact = epsilon_seq(nt)
-        numeric = epsilon_oracle(nt)
         out.append((f"epsilon ({m},{n})", numeric == exact, f"{len(exact)} bits"))
     return out
 
@@ -59,18 +72,16 @@ def suite_epsilon(max_m: int = 30, seed: int = 0) -> list[Case]:
 def suite_collision(seed: int = 0) -> list[Case]:
     """Numeric minimum separation against the parity criterion, over the
     fixed box 0 < m <= 10, |n| <= 10 of coprime types prime to 3."""
+    pairs = [(m, n) for m in range(1, 11) for n in range(-10, 11)
+             if n != 0 and gcd(m, n) == 1 and m % 3 != 0 and n % 3 != 0]
     out: list[Case] = []
-    for m in range(1, 11):
-        for n in range(-10, 11):
-            if n == 0 or gcd(m, n) != 1 or m % 3 == 0 or n % 3 == 0:
-                continue
-            predicted_free = is_collision_free(m, n)
-            minimum = collision_scan(m, n)
-            ok = minimum > SEPARATION_EPS if predicted_free else minimum < COLLISION_EPS
-            out.append(
-                (f"collision ({m},{n})", ok,
-                 f"min={minimum:.2e} predicted={'free' if predicted_free else 'collision'}")
-            )
+    for (m, n), minimum in zip(pairs, collision_scan(pairs), strict=True):
+        predicted_free = is_collision_free(m, n)
+        ok = minimum > SEPARATION_EPS if predicted_free else minimum < COLLISION_EPS
+        out.append(
+            (f"collision ({m},{n})", ok,
+             f"min={minimum:.2e} predicted={'free' if predicted_free else 'collision'}")
+        )
     return out
 
 
@@ -134,10 +145,11 @@ def suite_cluster(max_m: int = 200, seed: int = 0) -> list[Case]:
 
 def suite_syzygy(max_m: int = 12, seed: int = 0) -> list[Case]:
     """Numeric crossing labels against the symbolic walk, letter for letter."""
+    types = enumerate_p0(max_m)
+    numerics = _sliced(syzygy_oracle, [normalize(m, n) for m, n in types])
     out: list[Case] = []
-    for m, n in enumerate_p0(max_m):
+    for (m, n), numeric in zip(types, numerics, strict=True):
         symbolic = syzygy_sequence(m, n, periods=1)
-        numeric = syzygy_oracle(normalize(m, n))
         out.append((f"syzygy ({m},{n})", numeric == symbolic, f"{len(symbolic)} letters"))
     return out
 

@@ -6,8 +6,9 @@ level-lifting substitution, difference sequences and their cluster
 lengths, the value of a continued fraction, the square part of a
 discriminant, reduced syzygy words, region itineraries and the
 third-turn symmetry of the shape curve) that the tests check the
-package against. No program path runs them, so they live beside the
-tests.
+package against, and the one-type float oracles that the batched ones
+in shapetrace must equal bit for bit. No program path runs them, so
+they live beside the tests.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from math import gcd
 
 from lissbraid import shapetrace
 from lissbraid.algebra import _FACTOR, _INVERSE, Psl2Mat, check_frieze, reduce_frieze
+from lissbraid.errors import BorderHit, Unstable
 from lissbraid.lissajous import NormalizedType, _check_collision_free
-from lissbraid.shapetrace import _THIRD, DEFAULT_RATIO, psi_values, start_offset
+from lissbraid.shapetrace import _THIRD, CROSSING_GUARD, DEFAULT_RATIO, psi_values, start_offset
 from lissbraid.surd import _PRIMES, _PRIMORIAL, CfExpansion
 from lissbraid.words import _check_binary
 
@@ -200,3 +202,124 @@ def periodicity_defect(nt: NormalizedType) -> float:
     left = psi_values(nt, DEFAULT_RATIO, ts + 1.0 / 3.0)
     right = omega_c * psi_values(nt, DEFAULT_RATIO, ts)
     return float(np.max(np.abs(left - right)))
+
+
+# The float oracles one type at a time, as they ran before shapetrace
+# batched them; the batched oracles must return the same values.
+
+def epsilon_oracle(nt: NormalizedType) -> tuple[int, ...]:
+    """Bits from geometry: bit k is 0 iff sign(1 - |psi(t_k)|) = sign(ell),
+    at the collision-passage times t_k = 1/(12|m|) + (k-1)/(6|m|).
+
+    The amplitude ratio is halved, at most 20 times, until two
+    consecutive ratios agree.
+    """
+    import numpy as np
+    _check_collision_free(nt)
+    am = abs(nt.m)
+    sgn_l = 1 if nt.ell > 0 else -1
+    ts = np.array([1.0 / (12 * am) + (k - 1) / (6.0 * am) for k in range(1, 2 * am + 1)])
+
+    def bits_at(r: float) -> tuple[int, ...]:
+        radii = np.abs(psi_values(nt, r, ts))
+        return tuple(np.where((1.0 - radii) * sgn_l > 0, 0, 1).tolist())
+
+    ratio = DEFAULT_RATIO
+    prev = bits_at(ratio)
+    for _ in range(20):
+        ratio /= 2.0
+        cur = bits_at(ratio)
+        if cur == prev:
+            return cur
+        prev = cur
+    raise Unstable(f"epsilon bits did not stabilise for {(nt.m, nt.n)}")
+
+
+def _pairwise_min(m: int, n: int, ts):
+    import numpy as np
+    pos = np.sin(2 * math.pi * m * ts) + 1j * np.sin(2 * math.pi * n * ts)
+    a = np.sin(2 * math.pi * m * (ts - 1 / 3)) + 1j * np.sin(2 * math.pi * n * (ts - 1 / 3))
+    c = np.sin(2 * math.pi * m * (ts + 1 / 3)) + 1j * np.sin(2 * math.pi * n * (ts + 1 / 3))
+    return np.minimum(np.abs(a - pos), np.minimum(np.abs(pos - c), np.abs(c - a)))
+
+
+def collision_scan(m: int, n: int) -> float:
+    """Minimum pairwise distance of the three bodies over one period.
+
+    The coarse grid has 512 points per unit of the larger frequency, so
+    within one cell of its argmin the distance has a single minimum (it
+    is V-shaped near a genuine collision).  A bracket zoom refines it:
+    each round samples the bracket on 33 points and keeps the two cells
+    beside the smallest sample.  A unimodal function has its minimum
+    next to its smallest sample, so those cells still bracket it, and
+    12 rounds shrink the bracket 16^12-fold, below float resolution.
+    """
+    import numpy as np
+    if gcd(m, n) != 1:
+        raise ValueError(f"gcd{(m, n)} != 1")
+    steps = max(2048, 512 * max(abs(m), abs(n)))
+    # collision times are rationals, which an unshifted grid hits; a shift by
+    # an irrational fraction of a cell leaves the minimum's last digits to the zoom
+    ts = (np.arange(steps) + (math.sqrt(5) - 1) / 2) / steps
+    dist = _pairwise_min(m, n, ts)
+    i = int(np.argmin(dist))
+    best = float(dist[i])
+    lo, hi = ts[i] - 1.0 / steps, ts[i] + 1.0 / steps
+    for _ in range(12):
+        grid = np.linspace(lo, hi, 33)
+        dist = _pairwise_min(m, n, grid)
+        j = int(np.argmin(dist))
+        best = min(best, float(dist[j]))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
+    return best
+
+
+def _crossings(nt: NormalizedType, ratio: float, steps: int):
+    """Times and angles in [0, 2pi) of the equator crossings over one full
+    period, each bisected 80 times, all brackets at once.
+
+    The closed interval [delta, 1 + delta] brackets all 6|ell| crossings;
+    its endpoints sit strictly between crossings by the choice of delta.
+    """
+    import numpy as np
+    delta = start_offset(nt)
+    ts = np.linspace(delta, 1.0 + delta, steps + 1)
+    f = np.abs(psi_values(nt, ratio, ts)) - 1.0
+    i = np.nonzero(f[:-1] * f[1:] < 0)[0]
+    lo, hi, flo = ts[i], ts[i + 1], f[i]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = np.abs(psi_values(nt, ratio, mid)) - 1.0
+        left = flo * fmid <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    t = 0.5 * (lo + hi)
+    return t, np.angle(psi_values(nt, ratio, t)) % (2 * math.pi)
+
+
+def syzygy_oracle(nt: NormalizedType) -> str:
+    """Arc labels of the equator crossings of one period, from geometry.
+
+    Arc 1 is arg in (0, 2pi/3), arc 2 (2pi/3, 4pi/3), arc 3 (4pi/3, 2pi).
+    A wrong crossing count, or a crossing within the guard distance of a
+    collision point, triggers a retry with half the amplitude ratio.  When
+    6 ratios fail, the error is BorderHit if one of them grazed, else
+    Unstable.
+    """
+    import numpy as np
+    _check_collision_free(nt)
+    expected = 6 * abs(nt.ell)
+    last_err: BorderHit | None = None
+    for attempt in range(6):
+        t, theta = _crossings(nt, DEFAULT_RATIO / 2**attempt, steps=max(4096, 256 * expected))
+        if len(t) != expected:
+            continue
+        rem = theta % _THIRD
+        grazes = np.nonzero(np.minimum(rem, _THIRD - rem) < CROSSING_GUARD)[0]
+        if len(grazes):
+            last_err = BorderHit(f"crossing at angle {theta[grazes[0]]} grazes a collision point")
+            continue
+        # rotate so the crossing nearest an integer time comes first
+        first = int(np.argmin(np.abs(t - np.round(t))))
+        return "".join(map(str, np.roll(1 + (theta // _THIRD).astype(int), -first)))
+    raise last_err or Unstable(f"could not isolate {expected} crossings for {(nt.m, nt.n)}")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pathlib
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import gcd
@@ -11,10 +12,11 @@ import pytest
 from lissbraid import shapetrace
 from lissbraid.algebra import Psl2Mat
 from lissbraid.classify import enumerate_p0, level_slope_of
-from lissbraid.errors import CollisionType
+from lissbraid.errors import CollisionType, LissbraidError, Unstable
 from lissbraid.lissajous import epsilon_seq, is_collision_free, normalize
 from lissbraid.shapetrace import (
     COLLISION_EPS,
+    DEFAULT_RATIO,
     RHO,
     SEPARATION_EPS,
     collision_scan,
@@ -28,6 +30,8 @@ from lissbraid.shapetrace import (
     syzygy_oracle,
 )
 from lissbraid.syzygy import omega, syzygy_sequence
+from lissbraid.verify import normalized_types
+import reference
 from reference import EQ_PERIOD_TOL, periodicity_defect, region_itinerary
 
 
@@ -55,33 +59,32 @@ def test_periodicity_third_turn():
     ((4, -5), (0, 1, 1, 0, 1, 0, 0, 1)),
 ])
 def test_epsilon_oracle_examples(mn, expected):
-    assert epsilon_oracle(normalize(*mn)) == expected
+    assert epsilon_oracle([normalize(*mn)]) == [expected]
 
 
 def test_epsilon_oracle_22_bits():
     nt = normalize(-11, 16)
-    assert epsilon_oracle(nt) == epsilon_seq(nt)
+    assert epsilon_oracle([nt]) == [epsilon_seq(nt)]
 
 
 def test_epsilon_oracle_matches_formula():
-    for m, n in enumerate_p0(20):
-        nt = normalize(m, n)
-        assert epsilon_oracle(nt) == epsilon_seq(nt)
+    nts = [normalize(m, n) for m, n in enumerate_p0(20)]
+    assert epsilon_oracle(nts) == [epsilon_seq(nt) for nt in nts]
 
 
 def test_epsilon_oracle_nonprimitive_types():
     # normalized collision-free types outside the primitive family
-    for m, n in [(1, 4), (-2, -5), (7, -2), (4, 19), (-8, 1), (13, -32)]:
-        nt = normalize(m, n)
-        assert epsilon_oracle(nt) == epsilon_seq(nt)
+    nts = [normalize(m, n) for m, n in [(1, 4), (-2, -5), (7, -2), (4, 19), (-8, 1), (13, -32)]]
+    assert epsilon_oracle(nts) == [epsilon_seq(nt) for nt in nts]
 
 
 def test_collision_scan_examples():
-    assert collision_scan(4, -5) > 1e-3
-    assert collision_scan(-5, 7) < 1e-6
-    assert collision_scan(3, 2) < 1e-6
+    free, collision, other = collision_scan([(4, -5), (-5, 7), (3, 2)])
+    assert free > 1e-3
+    assert collision < 1e-6
+    assert other < 1e-6
     with pytest.raises(ValueError):
-        collision_scan(2, 4)
+        collision_scan([(2, 4)])
 
 
 def test_collision_scan_converges(monkeypatch):
@@ -89,8 +92,7 @@ def test_collision_scan_converges(monkeypatch):
     pairs = [(m, n) for m in range(1, 19) for n in range(-18, 19)
              if n != 0 and gcd(m, n) == 1 and (m * n) % 3 != 0]
     assert len(pairs) == 198
-    for m, n in pairs:
-        minimum = collision_scan(m, n)
+    for (m, n), minimum in zip(pairs, collision_scan(pairs), strict=True):
         assert (minimum > SEPARATION_EPS) == is_collision_free(m, n), (m, n)
         if not is_collision_free(m, n):
             assert minimum < 1e-12, (m, n, minimum)
@@ -100,9 +102,9 @@ def test_collision_scan_converges(monkeypatch):
     pairwise_min = shapetrace._pairwise_min
     monkeypatch.setattr(shapetrace, "_pairwise_min",
                         lambda m, n, ts: pairwise_min(m, n, ts + math.pi * 1e-5))
-    for m, n in pairs:
+    for (m, n), minimum in zip(pairs, collision_scan(pairs), strict=True):
         if not is_collision_free(m, n):
-            assert collision_scan(m, n) < 1e-12, (m, n)
+            assert minimum < 1e-12, (m, n)
 
 
 def test_collision_scan_zoom_finds_what_the_grid_misses(monkeypatch):
@@ -113,7 +115,7 @@ def test_collision_scan_zoom_finds_what_the_grid_misses(monkeypatch):
 
     def recording(m, n, ts):
         dist = pairwise_min(m, n, ts)
-        if len(ts) > 33:
+        if ts.ndim == 1:
             coarse.append(float(dist.min()))
         return dist
 
@@ -121,9 +123,10 @@ def test_collision_scan_zoom_finds_what_the_grid_misses(monkeypatch):
     pairs = [(m, n) for m in range(1, 11) for n in range(-10, 11)
              if n != 0 and gcd(m, n) == 1 and (m * n) % 3 != 0 and not is_collision_free(m, n)]
     assert len(pairs) == 14
-    for m, n in pairs:
-        assert collision_scan(m, n) < COLLISION_EPS, (m, n)
-        assert coarse.pop() > COLLISION_EPS, (m, n)
+    minima = collision_scan(pairs)
+    for (m, n), minimum, coarse_minimum in zip(pairs, minima, coarse, strict=True):
+        assert minimum < COLLISION_EPS, (m, n)
+        assert coarse_minimum > COLLISION_EPS, (m, n)
 
 
 def test_region_of_examples(monkeypatch):
@@ -167,33 +170,156 @@ def test_region_itineraries():
 def test_syzygy_oracle_nonprimitive_smoke():
     # works for any collision-free normalized type; (1,4) shares the class
     # of (1,-2) and crosses the same arcs
-    seq = syzygy_oracle(normalize(1, 4))
+    [seq] = syzygy_oracle([normalize(1, 4)])
     assert len(seq) == 6
     assert seq in "132132132132"
 
 
 def test_syzygy_oracle_examples():
-    got = syzygy_oracle(normalize(-8, 13))
+    got, small = syzygy_oracle([normalize(-8, 13), normalize(1, -2)])
     expected = syzygy_sequence(-8, 13)
     assert len(got) == len(expected)
     assert got in expected + expected
-    assert syzygy_oracle(normalize(1, -2)) in "132132132132"
+    assert small in "132132132132"
 
 
 def test_syzygy_oracle_crossing_count():
-    for mn in [(4, -5), (-8, 13), (7, -8)]:
-        m, n = mn
+    types = [(4, -5), (-8, 13), (7, -8)]
+    for (m, n), seq in zip(types, syzygy_oracle([normalize(m, n) for m, n in types]), strict=True):
         label = level_slope_of(m, n)
-        assert len(syzygy_oracle(normalize(m, n))) == 6 * len(omega(label))
+        assert len(seq) == 6 * len(omega(label))
 
 
 def test_syzygy_oracle_matches_symbolic():
-    for m, n in enumerate_p0(20):
-        numeric = syzygy_oracle(normalize(m, n))
+    types = enumerate_p0(20)
+    numerics = syzygy_oracle([normalize(m, n) for m, n in types])
+    for (m, n), numeric in zip(types, numerics, strict=True):
         symbolic = syzygy_sequence(m, n)
         assert numeric in symbolic + symbolic
         # the crossing nearest an integer time comes first, as the walk's arc 1
         assert numeric == symbolic, (m, n)
+
+
+def _recording_batches(monkeypatch):
+    # the lengths of the batches each oracle call runs, one list per call
+    calls = []
+    batches = shapetrace._batches
+
+    def recording(items, check, size):
+        calls.append([])
+        for batch in batches(items, check, size):
+            calls[-1].append(len(batch))
+            yield batch
+
+    monkeypatch.setattr(shapetrace, "_batches", recording)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [shapetrace._BATCH_SAMPLES, 100])
+def test_batched_oracles_equal_the_one_type_oracles(monkeypatch, cap):
+    # at the cap of 100 samples every oracle splits its list into several
+    # batches, some of several types and some of one type above the cap
+    monkeypatch.setattr(shapetrace, "_BATCH_SAMPLES", cap)
+    calls = _recording_batches(monkeypatch)
+    types = dict.fromkeys(enumerate_p0(60))
+    types.update(dict.fromkeys(normalized_types(15, 31)))
+    nts = [normalize(m, n) for m, n in types]
+    assert epsilon_oracle(nts) == [reference.epsilon_oracle(nt) for nt in nts]
+    pairs = [(m, n) for m in range(1, 11) for n in range(-10, 11)
+             if n != 0 and gcd(m, n) == 1 and m % 3 != 0 and n % 3 != 0]
+    assert len(pairs) == 58
+    assert collision_scan(pairs) == [reference.collision_scan(m, n) for m, n in pairs]
+    nts = [normalize(m, n) for m, n in enumerate_p0(20)]
+    assert syzygy_oracle(nts) == [reference.syzygy_oracle(nt) for nt in nts]
+    assert [sum(lengths) for lengths in calls] == [len(types), 58, 21]
+    if cap == 100:
+        assert all(len(lengths) > 2 and max(lengths) > 1 and min(lengths) == 1
+                   for lengths in calls[::2]), calls
+        assert set(calls[1]) == {3, 1}, calls   # 33 samples a pair
+
+
+def _reflect_radii(monkeypatch, flips):
+    # flips maps a type to the ratios at which its radii are reflected in the
+    # unit circle, which flips each of its epsilon bits; the samples of a
+    # type are those with its slow rate.  Returns the per-call sample counts.
+    psi_of = shapetrace._psi
+    rates = {shapetrace._rates(nt)[1]: ratios for nt, ratios in flips.items()}
+    samples = []
+
+    def reflected(exp, fast, slow, ratio):
+        psi = psi_of(exp, fast, slow, ratio)
+        flip = np.isin(slow, [rate for rate, ratios in rates.items() if ratio in ratios])
+        samples.append(np.size(slow))
+
+        def psi_flipped(t):
+            z = psi(t)
+            return np.where(flip, z / np.abs(z) ** 2, z)
+        return psi_flipped
+
+    monkeypatch.setattr(shapetrace, "_psi", reflected)
+    return samples
+
+
+def test_epsilon_oracle_finishes_each_type_at_its_own_ratio(monkeypatch):
+    # the bits of (-11, 16) first agree at the fourth ratio and those of
+    # (7, -8) at the sixth, the others' at the second; wrong bits at an
+    # earlier ratio show a type that finished at another type's ratio
+    r = [DEFAULT_RATIO / 2**k for k in range(6)]
+    nts = [normalize(m, n) for m, n in [(4, -5), (-11, 16), (1, -2), (7, -8), (-8, 13)]]
+    samples = _reflect_radii(monkeypatch, {nts[1]: {r[1]}, nts[3]: {r[1], r[3]}})
+    got = epsilon_oracle(nts)
+    assert got == [reference.epsilon_oracle(nt) for nt in nts] == [epsilon_seq(nt) for nt in nts]
+    # one pass per round over the types still open: all of them, then
+    # (-11, 16) and (7, -8), then (7, -8) alone
+    assert samples[:6] == [2 * (4 + 11 + 1 + 7 + 8)] * 2 + [2 * (11 + 7)] * 2 + [2 * 7] * 2
+
+
+def test_oracles_raise_for_the_first_failing_type(monkeypatch):
+    # a failure raises the error of the first failing type in input order,
+    # with the message of the one-type oracle, wherever the batches split
+    monkeypatch.setattr(shapetrace, "_BATCH_SAMPLES", 40)
+    ok, collision, late = normalize(4, -5), normalize(-5, 7), normalize(-11, 16)
+    with pytest.raises(CollisionType, match=r"^type \(-5, 7\) has even ell = -4$"):
+        epsilon_oracle([ok, late, collision, ok])
+    with pytest.raises(CollisionType, match=r"^type \(-5, 7\) has even ell = -4$"):
+        syzygy_oracle([ok, normalize(1, -2), collision, late])
+    with pytest.raises(ValueError, match=r"^gcd\(2, 4\) != 1$"):
+        collision_scan([(4, -5), (1, 2), (2, 4), (5, 7)])
+    huge = normalize(1, -2 - 3 * 10**310)
+    with pytest.raises(LissbraidError, match="too large for float time"):
+        syzygy_oracle([ok, huge, collision])
+    # radii reflected at every other ratio: the bits of (-11, 16) never agree
+    _reflect_radii(monkeypatch, {late: {DEFAULT_RATIO / 2**k for k in range(0, 21, 2)}})
+    with pytest.raises(Unstable) as unstable:
+        reference.epsilon_oracle(late)
+    for nts in ([ok, late, collision], [late, ok], [ok, late, late]):
+        with pytest.raises(Unstable, match=f"^{re.escape(str(unstable.value))}$"):
+            epsilon_oracle(nts)
+    with pytest.raises(CollisionType):
+        epsilon_oracle([ok, collision, late])
+
+
+def test_syzygy_oracle_retries_only_the_failed_types(monkeypatch):
+    # (-8, 13) loses a bracket at the first ratio, so it alone runs again at
+    # half the ratio; (1, -2) loses one at every ratio and raises Unstable
+    # once the batch is done, with the one-type oracle's message
+    brackets = shapetrace._brackets
+    calls = []
+
+    def losing(nt, ratio):
+        calls.append(((nt.m, nt.n), ratio))
+        lo, hi, flo = brackets(nt, ratio)
+        if (nt.m, nt.n) == (1, -2) or ((nt.m, nt.n), ratio) == ((-8, 13), DEFAULT_RATIO):
+            return lo[1:], hi[1:], flo[1:]
+        return lo, hi, flo
+
+    monkeypatch.setattr(shapetrace, "_brackets", losing)
+    types = [(4, -5), (-8, 13), (7, -8)]
+    assert syzygy_oracle([normalize(m, n) for m, n in types]) == [
+        syzygy_sequence(m, n) for m, n in types]
+    assert calls == [(mn, DEFAULT_RATIO) for mn in types] + [((-8, 13), DEFAULT_RATIO / 2)]
+    with pytest.raises(Unstable, match=r"^could not isolate 6 crossings for \(1, -2\)$"):
+        syzygy_oracle([normalize(4, -5), normalize(1, -2), normalize(7, -8), normalize(-5, 7)])
 
 
 def test_float_oracles_reject_collision_types(tmp_path):

@@ -86,7 +86,7 @@ def test_numpy_is_loaded_only_by_the_float_code():
         "print(*codes, 'numpy' in sys.modules)\n"
         "from lissbraid.lissajous import normalize\n"
         "from lissbraid.shapetrace import epsilon_oracle\n"
-        "epsilon_oracle(normalize(4, -5))\n"
+        "epsilon_oracle([normalize(4, -5)])\n"
         "print('numpy' in sys.modules)\n"
     ) == ["False", "0", "False", "0", "0", "False", "True"]
 

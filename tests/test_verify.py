@@ -69,3 +69,23 @@ def test_cluster_case_fails_on_a_wrong_product_or_translation(monkeypatch):
         patch.setattr(verify, "frieze_w", lambda half: (frieze_w(half)[0], asymmetric))
         patch.setattr(verify, "ab_to_matrix", lambda word: asymmetric)
         assert not any(ok for _, ok, _ in verify.suite_cluster(max_m=10))
+
+
+@pytest.mark.parametrize("name, oracle", [("epsilon", "epsilon_oracle"),
+                                          ("syzygy", "syzygy_oracle")])
+def test_float_suites_hand_their_oracle_one_slice_a_call(name, oracle, monkeypatch):
+    # each default box is one slice, so one oracle call; smaller slices give
+    # the same cases, with each type in exactly one call
+    def recording(items):
+        calls.append(len(items))
+        return whole(items)
+
+    whole = getattr(verify, oracle)
+    monkeypatch.setattr(verify, oracle, recording)
+    calls = []
+    cases = SUITES[name]()
+    assert calls == [len(cases)] and len(cases) <= verify._ORACLE_SLICE
+    monkeypatch.setattr(verify, "_ORACLE_SLICE", 5)
+    calls = []
+    assert SUITES[name]() == cases
+    assert calls == [5] * (len(cases) // 5) + [len(cases) % 5] * (len(cases) % 5 > 0)
