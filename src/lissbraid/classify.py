@@ -58,7 +58,18 @@ class ClusterSeq(namedtuple("ClusterSeq", "radii letters")):
 
 
 def level_slope_of(m: int, n: int) -> LevelSlope:
-    """Label of a primitive type, by exact integer inequalities."""
+    """Label of a primitive type, by exact integer inequalities.
+
+    The label is valid by construction, so LevelSlope's checks are skipped.
+    With M = |m| and L = |ell|, M < |n| = 3L - M <= 2M puts L/M in
+    (2/3, 1], so 0 < 3L - 2M <= 2L - M and N = floor((2L - M) / (3L - 2M))
+    is >= 1; N <= that quotient says q >= 0, and quotient < N + 1 says
+    p > 0.  (M, L) -> (p, q) has determinant
+    (2N+1)(3N-2) - (3N+1)(2N-1) = -1, so gcd(p, q) = gcd(M, L), which
+    divides gcd(m, m - n) = 1.  p + q = 3L - 2M is odd, as ell is
+    (m - n = 3 ell is odd), and is M mod 3, which m = 1 mod 3 keeps
+    nonzero.
+    """
     if not is_primitive(m, n):
         raise NotPrimitive(f"{(m, n)} is not primitive")
     big_m, big_l = abs(m), abs((m - n) // 3)
@@ -67,7 +78,7 @@ def level_slope_of(m: int, n: int) -> LevelSlope:
     level = (2 * big_l - big_m) // (3 * big_l - 2 * big_m)
     p = (3 * level + 1) * big_l - (2 * level + 1) * big_m
     q = (2 * level - 1) * big_m - (3 * level - 2) * big_l
-    return LevelSlope(level, p, q)
+    return tuple.__new__(LevelSlope, (level, p, q))
 
 
 def type_of(label: LevelSlope) -> tuple[int, int]:
@@ -114,7 +125,9 @@ def enumerate_p0(max_m: int) -> list[tuple[int, int]]:
 
 def enumerate_labels(max_sum: int, max_level: int) -> list[LevelSlope]:
     """All labels with p + q <= max_sum and level <= max_level, in
-    (level, p + q, q) order; gcd(p, q) = gcd(p + q, q)."""
-    return [LevelSlope(level, s - q, q) for level in range(1, max_level + 1)
+    (level, p + q, q) order; gcd(p, q) = gcd(p + q, q).  Each is valid by
+    construction (p = s - q >= 1, q >= 0), so LevelSlope's checks are
+    skipped."""
+    return [tuple.__new__(LevelSlope, (level, s - q, q)) for level in range(1, max_level + 1)
             for s in range(1, max_sum + 1) if gcd(s, 6) == 1
             for q in range(s) if gcd(s, q) == 1]

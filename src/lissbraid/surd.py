@@ -11,10 +11,12 @@ The period of a continued fraction is crossed one exact step per quotient
 while isqrt(D) has at most 1024 bits.  Past that, cf_expand reads batches
 of quotients off the top 62 bits of the state in small integers, moves the
 exact state across each batch with a few big-by-small products, and keeps
-a batch only after an exact certificate; the result is the same.  On
-CPython 3.11 (2-vCPU Xeon), exact steps alone take 15 ms at |m| = 10^4
-(label (1, 1/10000)) and 1.4 s at |m| = 10^5 (label (1, 10/99991)); with
-the batches, 5 ms and 0.25 s.
+a batch only after an exact certificate; the result is the same.  A
+cycle that starts on its own mirror, as every far endpoint of a report
+does, is walked to its middle only.  On CPython 3.11 (2-vCPU Xeon), exact
+steps alone take 6.5 ms at |m| = 10^4 (label (1, 1/10000)) and 0.53 s at
+|m| = 10^5 (label (1, 10/99991)); with the batches, 2.6 ms and 0.11 s.
+Over the whole cycle these were 11.7 ms, 1.05 s, 4.0 ms and 0.18 s.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ _PRIMES = (
     751, 757, 761, 769, 773, 787, 797, 809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863,
     877, 881, 883, 887, 907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
 )
-
-
-# the squares mod 64 reject 52 of the 64 residues without a root
-_SQUARES_64 = frozenset(i * i % 64 for i in range(64))
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and n & 63 in _SQUARES_64 and isqrt(n) ** 2 == n
 
 
 _PRIMORIAL = prod(_PRIMES)
@@ -82,24 +76,20 @@ class QuadSurd(namedtuple("QuadSurd", "P Q D")):
     """The real quadratic irrational (P + sqrt(D)) / Q, stored as its one
     canonical triple: (-b, 2a, b^2 - 4ac) for the primitive minimal
     polynomial a x^2 + b x + c, with the sign of a picking the root.  So
-    equal values have equal fields, and == and hash are exact."""
+    equal values have equal fields, and == and hash are exact.
+
+    The fields are stored as given, and this module builds only canonical
+    triples:
+    - (u, 2c', D) and (-u, -2c', D), the fixed points, from c' x^2 - u x - b',
+      primitive as _fixed_point_quadratic divides out its content, c' != 0;
+    - (|t|, 2, t^2 - 4), the dilatation, from x^2 - |t| x + 1, primitive.
+    Each is (-b, 2a, b^2 - 4ac) of its polynomial a x^2 + b x + c, negated
+    to pick the -sqrt root.  D > 0 is no square, so the polynomial is
+    minimal: D g^2 = (d - a)^2 + 4bc = t^2 - 4 for the content g, and
+    t^2 - 4 = s^2 with s >= 0 gives (|t| - s)(|t| + s) = 4, two factors of
+    equal parity, so |t| = 2, which _check_hyperbolic rejects."""
 
     __slots__ = ()
-
-    def __new__(cls, P: int, Q: int, D: int):
-        p, q, d = P, Q, D
-        if q == 0:
-            raise ValueError("Q must be nonzero")
-        if d <= 0 or _is_square(d):
-            raise ValueError(f"D must be a positive nonsquare, got {d}")
-        r, rem = divmod(p * p - d, q)
-        if rem:
-            # scale P, Q by |Q| and D by Q^2 to restore Q | D - P^2
-            r = p * p - d if q > 0 else d - p * p
-            p, q, d = p * abs(q), q * abs(q), d * q * q
-        # the value is a root of q x^2 - 2p x + r; divide out its content
-        g = gcd(q, 2 * p, r)
-        return tuple.__new__(cls, (2 * p // g, 2 * q // g, 4 * d // (g * g)))
 
     def approx(self) -> float:
         # sqrt via a 64-bit-shifted integer root; int / int rounds correctly
@@ -151,6 +141,18 @@ class CfExpansion(namedtuple("CfExpansion", "preperiod period")):
 _BATCH_BITS = 1024
 # the most quotients in one batch, and the exact steps that open a cycle
 _BATCH = 64
+# A cycle that starts on its own mirror probes batches t _PROBE_GAP and
+# t _PROBE_GAP + 1 for it, at about 0.3 us a quotient.  Probes before the
+# middle are wasted, and the exit comes up to _PROBE_GAP batches past it.
+# At gaps of 6, 12 and 16 to 32, cf_expand at (1, 1/10000) and (1, 1/1998)
+# takes 3.15 and 0.51, 2.81 and 0.44, and 2.65-2.87 and 0.40-0.53 ms
+# (Python 3.11.7, 2-vCPU Xeon, medians of 60); 12 suits the short cycles.
+_PROBE_GAP = 12
+# the probes' fingerprints are the state mod 2^64; the last _KEPT batch
+# ends are kept exact, as a probe pair past the middle finds its mirror
+# about 2 _PROBE_GAP ends back or fewer
+_MASK = 2**64 - 1
+_KEPT = 2 * _PROBE_GAP + 4
 
 
 def _batch(u: int, q: int, q_prev: int, root: int):
@@ -187,6 +189,31 @@ def _batch(u: int, q: int, q_prev: int, root: int):
     return None
 
 
+def _mirror(quotients, u: int, q: int, q_prev: int, two_root: int, kept: dict):
+    """(i, j, u', Q', Q'_prev): state j (0 for the start) of the batch of
+    quotients from the state (u, Q, Q_prev), exact, whose mirror is kept
+    state i; or None.  The states are walked mod _MASK + 1 and looked up by
+    fingerprint, and a hit counts only after j exact steps; cf_expand's
+    docstring has the proof."""
+    fr, fu, fq, fp = two_root & _MASK, u & _MASK, q & _MASK, q_prev & _MASK
+    hit, j = kept.get(fu << 64 | fp), 0
+    for a in quotients:
+        if hit:
+            break
+        v = (fr - fu + a * fq) & _MASK
+        fq, fp = (fp + a * (fu - v)) & _MASK, fq
+        fu = v
+        hit, j = kept.get(fu << 64 | fp), j + 1
+    if not hit:
+        return None
+    i, u_i, q_i = hit
+    for a in quotients[:j]:
+        v = two_root - u + a * q
+        q, q_prev = q_prev + a * (u - v), q
+        u = v
+    return (i, j, u, q, q_prev) if u == u_i and q_prev == q_i else None
+
+
 def cf_expand(x: QuadSurd) -> CfExpansion:
     """Regular continued fraction of a quadratic surd, split where its
     period starts.
@@ -197,7 +224,7 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     which needs no division: the identity P^2 + Q Q_prev = D, once true,
     holds for every integer a, because
     D - (aQ - P)^2 = Q (Q_prev + 2aP - a^2 Q).  It is checked at entry
-    and again on the state that closes the cycle.
+    and again on the state the walk exits on.
 
     The period starts at the first reduced complete quotient: one that
     is > 1 with its conjugate in (-1, 0).  By Galois' theorem a surd has
@@ -251,6 +278,37 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     L = t - i: the states of one period are distinct, so no batch ends on a
     kept state before index L, and the one that passes L, by at most
     _BATCH steps, ends on index L + i with i < _BATCH.
+
+    Mirror exit.  rho(u, Q, Q_prev) = (u, Q_prev, Q) is y -> -1/y' on
+    states, as (P - sqrt(D))(P + sqrt(D)) = -Q Q_prev.  By Galois' theorem
+    (Perron, Die Lehre von den Kettenbruechen, on symmetric periods),
+    -1/y' of y = [(a_0, ..., a_{k-1})] is [(a_{k-1}, ..., a_0)], so the
+    t-th state of the cycle has rho(x_t) = [(a_{t-1}, a_{t-2}, ...)].  When
+    the cycle starts on Q = Q_prev, rho(x_0) = x_0: the period is a
+    palindrome, a_t = a_{k-1-t}, and rho(x_t) = x_{k-t}, indices mod k.  So
+    states 1 <= i, J < k with rho(x_J) = x_i give k = i + J, and the period
+    is its first J terms, then the first i reversed: a_{J+t} = a_{i-1-t}.
+    Every far endpoint of a report starts so: M(W) is symmetric, so
+    b' = c' in _fixed_point_quadratic, and the endpoint is reduced with
+    Q = +-2c' and Q_prev = (D - u^2) / Q = 4c'b' / Q = Q.  Other starts,
+    near endpoints among them, walk the whole cycle.
+
+    An exact step to state n >= 1 exits on Q = Q_prev, which is
+    rho(x_n) = x_n and k = 2n, or on u = u_prev: rho(x_n) and x_{n-1} then
+    share (u, Q), so rho(x_n) = x_{n-1} and k = 2n - 1.  The closure test
+    runs first, so n < k; and n >= 2 on the second exit, as u_1 = u_0
+    means x_1 = rho(x_0) = x_0, which closes.  In batches the mirror of a
+    batch end is seldom another end, so two batches in every _PROBE_GAP
+    are probed: the mirrors of the ends before them, spaced by a batch
+    length, fall within the pair.  A probe carries the state from the
+    batch's start J0 through each J from J0 to J0 + j mod _MASK + 1 (the
+    step takes only +, - and *) and looks rho(x_J) up by (u, Q)
+    mod _MASK + 1 among the kept batch ends i <= J0.  A match is a
+    candidate only: the j <= 45 exact steps from J0 give x_J, and the walk
+    exits only if u_J = u_i and Q_prev = Q_i there, and goes on otherwise.
+    The closure test on the batch's end runs first, so J < k.  Only the
+    last _KEPT ends are kept; what is kept and probed sets the speed,
+    never the result.
     """
     p, q, d = x
     q_prev, rem = divmod(d - p * p, q)
@@ -267,20 +325,34 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
         q, q_prev = q_prev + a * (u - u_next), q
         u = u_next
     start, u0, q0 = len(terms), u, q
+    mirror, mid = q == q_prev, None
     seen = {} if root.bit_length() > _BATCH_BITS else None
+    kept, batches = {}, 0
     while True:
         if seen is not None:
             k = len(terms) - start
             if k < _BATCH:
                 seen[u, q] = k
             elif batch := _batch(u, q, q_prev, root):
-                quotients, u, q, q_prev = batch
+                quotients, u1, q1, _ = batch
                 terms += quotients
-                k = seen.get((u, q))
-                if k is None:
-                    continue
-                del terms[len(terms) - k:]
-                break
+                k = seen.get((u1, q1))
+                if k is not None:
+                    del terms[len(terms) - k:]
+                    _, u, q, q_prev = batch
+                    break
+                if mirror:
+                    batches += 1
+                    if kept and batches % _PROBE_GAP < 2 and (
+                            hit := _mirror(quotients, u, q, q_prev, two_root, kept)):
+                        mid, j, u, q, q_prev = hit
+                        del terms[len(terms) - len(quotients) + j:]
+                        break
+                    kept[(u1 & _MASK) << 64 | q1 & _MASK] = (len(terms) - start, u1, q1)
+                    if len(kept) > _KEPT:
+                        del kept[next(iter(kept))]
+                _, u, q, q_prev = batch
+                continue
         t = u - q
         if t < q:
             append(1)
@@ -292,13 +364,19 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
             append(a)
             u_next = two_root - t
             q, q_prev = q_prev + a * (u - u_next), q
-        u = u_next
+        u, u_prev = u_next, u
         if u == u0 and q == q0:
+            break
+        if mirror and (q == q_prev or u == u_prev):
+            mid = len(terms) - start - (u == u_prev)
             break
     p = u - root
     if p * p + q * q_prev != d:
         raise InvariantError(f"continued fraction state {(p, q)} left P^2 + Q Q_prev = D")
-    return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
+    period = terms[start:]
+    if mid is not None:
+        period += period[:mid][::-1]
+    return CfExpansion(tuple(terms[:start]), tuple(period))
 
 
 def matches_cluster_period(cf: CfExpansion, radii) -> bool:
@@ -318,20 +396,6 @@ def _check_hyperbolic(mat: Psl2Mat) -> None:
         raise NotHyperbolic(f"{mat} has |trace| <= 2")
 
 
-def _canonical(p: int, q: int, d: int) -> QuadSurd:
-    """The QuadSurd of a triple canonical by construction, without
-    __new__'s checks and reduction.  The callers build
-    - (u, 2c', D) and (-u, -2c', D), the fixed points, from c' x^2 - u x - b',
-      primitive as _fixed_point_quadratic divides out its content, c' != 0;
-    - (|t|, 2, t^2 - 4), the dilatation, from x^2 - |t| x + 1, primitive.
-    Each is (-b, 2a, b^2 - 4ac) of its polynomial a x^2 + b x + c, negated
-    to pick the -sqrt root.  D > 0 is no square, so the polynomial is
-    minimal: D g^2 = (d - a)^2 + 4bc = t^2 - 4 for the content g, and
-    t^2 - 4 = s^2 with s >= 0 gives (|t| - s)(|t| + s) = 4, two factors of
-    equal parity, so |t| = 2, which _check_hyperbolic rejects."""
-    return tuple.__new__(QuadSurd, (p, q, d))
-
-
 def _fixed_point_quadratic(mat: Psl2Mat) -> tuple[int, int, int]:
     """(c', u, D): the fixed points' c x^2 + (d - a) x - b = 0 with its content
     g > 0 divided out is c' x^2 - u x - b' = 0, of discriminant u^2 + 4 c' b'.
@@ -349,7 +413,7 @@ def _fixed_point_quadratic(mat: Psl2Mat) -> tuple[int, int, int]:
 def fixed_points(mat: Psl2Mat) -> tuple[QuadSurd, QuadSurd]:
     """The two real fixed points (u +- sqrt(D)) / 2c' of a hyperbolic matrix."""
     c, u, disc = _fixed_point_quadratic(mat)
-    return _canonical(u, 2 * c, disc), _canonical(-u, -2 * c, disc)
+    return QuadSurd(u, 2 * c, disc), QuadSurd(-u, -2 * c, disc)
 
 
 def far_endpoint(mat: Psl2Mat) -> QuadSurd:
@@ -366,4 +430,4 @@ def dilatation(mat: Psl2Mat) -> QuadSurd:
     """Larger eigenvalue (|t| + sqrt(t^2 - 4)) / 2 of a hyperbolic matrix."""
     _check_hyperbolic(mat)
     t = abs(mat.trace())
-    return _canonical(t, 2, t * t - 4)
+    return QuadSurd(t, 2, t * t - 4)

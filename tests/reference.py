@@ -3,8 +3,9 @@
 Each one restates a property of the paper's objects (letter factors,
 word and matrix inverses, conjugacy and the S3 image of pbqd-words, the
 level-lifting substitution, difference sequences and their cluster
-lengths, the value of a continued fraction, the square part of a
-discriminant, reduced syzygy words, region itineraries and the
+lengths, the reducing surd constructor, the continued fraction walked
+over its whole period, the value of a continued fraction, the square
+part of a discriminant, reduced syzygy words, region itineraries and the
 third-turn symmetry of the shape curve) that the tests check the
 package against, and the one-type float oracles that the batched ones
 in shapetrace must equal bit for bit. No program path runs them, so
@@ -15,14 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from math import gcd
+from math import gcd, isqrt
 
 from lissbraid import shapetrace
 from lissbraid.algebra import _FACTOR, _INVERSE, Psl2Mat, check_frieze, reduce_frieze
-from lissbraid.errors import BorderHit, Unstable
+from lissbraid.errors import BorderHit, InvariantError, Unstable
 from lissbraid.lissajous import NormalizedType, _check_collision_free
 from lissbraid.shapetrace import _THIRD, CROSSING_GUARD, DEFAULT_RATIO, psi_values, start_offset
-from lissbraid.surd import _PRIMES, _PRIMORIAL, CfExpansion
+from lissbraid.surd import _BATCH, _BATCH_BITS, _PRIMES, _PRIMORIAL, CfExpansion, QuadSurd, _batch
 from lissbraid.words import _check_binary
 
 # --- algebra ---------------------------------------------------------------
@@ -120,6 +121,85 @@ def cluster_lengths(word: str, cyclic: bool = True) -> set[int]:
 
 
 # --- surd ------------------------------------------------------------------
+
+
+# the squares mod 64 reject 52 of the 64 residues without a root
+_SQUARES_64 = frozenset(i * i % 64 for i in range(64))
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and n & 63 in _SQUARES_64 and isqrt(n) ** 2 == n
+
+
+def quad_surd(P: int, Q: int, D: int) -> QuadSurd:
+    """The QuadSurd of (P + sqrt(D)) / Q for any integers with Q != 0 and
+    D > 0 no square, reduced to its canonical triple."""
+    p, q, d = P, Q, D
+    if q == 0:
+        raise ValueError("Q must be nonzero")
+    if d <= 0 or is_square(d):
+        raise ValueError(f"D must be a positive nonsquare, got {d}")
+    r, rem = divmod(p * p - d, q)
+    if rem:
+        # scale P, Q by |Q| and D by Q^2 to restore Q | D - P^2
+        r = p * p - d if q > 0 else d - p * p
+        p, q, d = p * abs(q), q * abs(q), d * q * q
+    # the value is a root of q x^2 - 2p x + r; divide out its content
+    g = gcd(q, 2 * p, r)
+    return QuadSurd(2 * p // g, 2 * q // g, 4 * d // (g * g))
+
+
+def cf_expand_full_walk(x: QuadSurd) -> CfExpansion:
+    """surd.cf_expand without its mirror exit: every cycle is walked
+    whole, and closes on the exact steps or on a batch that ends on a
+    kept warm-up state.  surd.cf_expand's docstring has the proofs."""
+    p, q, d = x
+    q_prev, rem = divmod(d - p * p, q)
+    if rem:
+        raise InvariantError(f"{x!r} violates Q | D - P^2")
+    root = isqrt(d)
+    two_root, u = 2 * root, p + root
+    terms: list[int] = []
+    append = terms.append
+    while not 0 < q <= u <= two_root < u + q:
+        a = (u + (q < 0)) // q
+        append(a)
+        u_next = two_root - (u - a * q)
+        q, q_prev = q_prev + a * (u - u_next), q
+        u = u_next
+    start, u0, q0 = len(terms), u, q
+    seen = {} if root.bit_length() > _BATCH_BITS else None
+    while True:
+        if seen is not None:
+            k = len(terms) - start
+            if k < _BATCH:
+                seen[u, q] = k
+            elif batch := _batch(u, q, q_prev, root):
+                quotients, u, q, q_prev = batch
+                terms += quotients
+                k = seen.get((u, q))
+                if k is None:
+                    continue
+                del terms[len(terms) - k:]
+                break
+        t = u - q
+        if t < q:
+            append(1)
+            u_next = two_root - t
+            q, q_prev = q_prev + (u - u_next), q
+        else:
+            a, t = divmod(t, q)
+            a += 1
+            append(a)
+            u_next = two_root - t
+            q, q_prev = q_prev + a * (u - u_next), q
+        u = u_next
+        if u == u0 and q == q0:
+            break
+    p = u - root
+    if p * p + q * q_prev != d:
+        raise InvariantError(f"continued fraction state {(p, q)} left P^2 + Q Q_prev = D")
+    return CfExpansion(tuple(terms[:start]), tuple(terms[start:]))
 
 
 def cf_evaluate(cf: CfExpansion, nterms: int = 60) -> float:

@@ -11,10 +11,10 @@ from lissbraid.algebra import Psl2Mat, ab_to_matrix, frieze_w, trace_class
 from lissbraid.classify import enumerate_p0, level_slope_of
 from lissbraid.lissajous import build_H, build_W, epsilon_seq, normalize
 from lissbraid.report import build_report
-from lissbraid.surd import CfExpansion, QuadSurd, cf_expand, far_endpoint
+from lissbraid.surd import CfExpansion, cf_expand, far_endpoint
 from lissbraid.syzygy import omega, syzygy_sequence
 from lissbraid.verify import SUITES
-from reference import region_itinerary, s3_image
+from reference import quad_surd, region_itinerary, s3_image
 
 
 def criterion(num, desc):
@@ -63,15 +63,15 @@ def test_metallic_family():
 @criterion(3, "far endpoints and CF periods match the three displays exactly")
 def test_continued_fractions():
     far = far_endpoint(Psl2Mat(10, 3, 3, 1))
-    assert far == QuadSurd(3, 2, 13)
+    assert far == quad_surd(3, 2, 13)
     assert cf_expand(far) == CfExpansion((), (3,))
 
     far = far_endpoint(Psl2Mat(586, -741, -741, 937))
-    assert far == QuadSurd(9, 38, 1525)  # (9 + 5*sqrt(61)) / 38
+    assert far == quad_surd(9, 38, 1525)  # (9 + 5*sqrt(61)) / 38
     assert cf_expand(far) == CfExpansion((), (1, 3, 1, 3, 1))
 
     far = far_endpoint(Psl2Mat(31162, -103259, -103259, 342161))
-    assert far == QuadSurd(509, 338, 373325)  # (509 + 5*sqrt(14933)) / 338
+    assert far == quad_surd(509, 338, 373325)  # (509 + 5*sqrt(14933)) / 338
     assert cf_expand(far) == CfExpansion((), (3, 3, 5, 3, 3))
 
 

@@ -140,6 +140,16 @@ def test_round_trip_small():
         assert level_slope_of(*type_of(label)) == label
 
 
+def test_bijection_labels_equal_the_validated_constructor():
+    # level_slope_of and enumerate_labels build their labels without
+    # LevelSlope's checks; each must pass them and equal its output
+    labels = [level_slope_of(m, n) for m, n in enumerate_p0(2000)] + enumerate_labels(200, 30)
+    assert len(labels) == 202878 + 30 * len(enumerate_labels(200, 1))
+    for label in labels:
+        assert type(label) is LevelSlope
+        assert LevelSlope(*label) == label, label
+
+
 def test_cluster_letters_equal_direct_word_small():
     for m, n in enumerate_p0(40):
         assert clusters_of(level_slope_of(m, n)).letters == build_H(normalize(m, n))

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,7 +20,14 @@ from lissbraid.surd import (
     fixed_points,
     matches_cluster_period,
 )
-from reference import cf_evaluate, mat_inverse, split_square_by_primes
+from reference import (
+    cf_evaluate,
+    cf_expand_full_walk,
+    is_square,
+    mat_inverse,
+    quad_surd,
+    split_square_by_primes,
+)
 
 W45 = Psl2Mat(10, 3, 3, 1)
 W_11_16 = Psl2Mat(586, -741, -741, 937)
@@ -27,23 +35,23 @@ W_23_28 = Psl2Mat(31162, -103259, -103259, 342161)
 
 
 def test_quadsurd_normalization_invariant():
-    x = QuadSurd(1, 3, 2)  # 3 does not divide 2 - 1, so the triple rescales
+    x = quad_surd(1, 3, 2)  # 3 does not divide 2 - 1, so the triple rescales
     assert (x.D - x.P * x.P) % x.Q == 0
     assert abs(x.approx() - (1 + math.sqrt(2)) / 3) < 1e-15
 
 
 def test_quadsurd_rejects_squares():
     with pytest.raises(ValueError):
-        QuadSurd(0, 1, 9)
+        quad_surd(0, 1, 9)
     with pytest.raises(ValueError):
-        QuadSurd(1, 0, 2)
+        quad_surd(1, 0, 2)
 
 
 @pytest.mark.parametrize("surd,text,value", [
-    (QuadSurd(3, 2, 13), "(3+√13)/2", 3.302775637731995),
-    (QuadSurd(0, 1, 2), "√2", 1.4142135623730951),
-    (QuadSurd(9, 38, 1525), "(9+5√61)/38", 1.2645065363035063),
-    (QuadSurd(-3, -2, 13), "(3-√13)/2", -0.30277563773199456),
+    (quad_surd(3, 2, 13), "(3+√13)/2", 3.302775637731995),
+    (quad_surd(0, 1, 2), "√2", 1.4142135623730951),
+    (quad_surd(9, 38, 1525), "(9+5√61)/38", 1.2645065363035063),
+    (quad_surd(-3, -2, 13), "(3-√13)/2", -0.30277563773199456),
 ])
 def test_quadsurd_display_and_approx(surd, text, value):
     assert str(surd) == text
@@ -51,14 +59,14 @@ def test_quadsurd_display_and_approx(surd, text, value):
 
 
 def test_quadsurd_equality_across_forms():
-    assert QuadSurd(11, 2, 117) == QuadSurd(11, 2, 117)
-    assert QuadSurd(22, 4, 468) == QuadSurd(11, 2, 117)  # scaled by 2
-    assert QuadSurd(3, 2, 13) != QuadSurd(-3, -2, 13)
+    assert quad_surd(11, 2, 117) == quad_surd(11, 2, 117)
+    assert quad_surd(22, 4, 468) == quad_surd(11, 2, 117)  # scaled by 2
+    assert quad_surd(3, 2, 13) != quad_surd(-3, -2, 13)
     # both are 1009*sqrt(2); 1009 is a prime beyond any trial division bound
-    x, y = QuadSurd(0, 1, 2 * 1009**2), QuadSurd(0, 1009, 2 * 1009**4)
+    x, y = quad_surd(0, 1, 2 * 1009**2), quad_surd(0, 1009, 2 * 1009**4)
     assert x == y and hash(x) == hash(y)
     assert str(x) == str(y) == "√2036162"
-    assert QuadSurd(1, 1, 2 * 1009**2) != x  # same irrational part, other rational part
+    assert quad_surd(1, 1, 2 * 1009**2) != x  # same irrational part, other rational part
 
 
 def _fraction_key(x):
@@ -88,14 +96,14 @@ def test_quadsurd_one_triple_per_value():
         d *= rng.choice((1, 4, 1009**2, 10007**2))
         if d < 2 or math.isqrt(d) ** 2 == d:
             continue
-        x = QuadSurd(p, q, d)
+        x = quad_surd(p, q, d)
         for k in (2, rng.randrange(3, 1010), rng.randrange(2, 10**20)):
-            y = QuadSurd(k * p, k * q, k * k * d)
+            y = quad_surd(k * p, k * q, k * k * d)
             assert (y.P, y.Q, y.D) == (x.P, x.Q, x.D), (p, q, d, k)
             assert hash(y) == hash(x) and str(y) == str(x)
         # the conjugate, a shifted rational part and an unscaled square
-        groups.append([x, QuadSurd(-p, -q, d), QuadSurd(p + q, q, d), QuadSurd(p, q, 4 * d),
-                       QuadSurd(2 * p, 2 * q, 4 * d)])
+        groups.append([x, quad_surd(-p, -q, d), quad_surd(p + q, q, d), quad_surd(p, q, 4 * d),
+                       quad_surd(2 * p, 2 * q, 4 * d)])
     assert any(g[0].Q < 0 for g in groups)
     pairs = [(u, v) for g in groups for u in g for v in g]
     pairs += [(rng.choice(rng.choice(groups)), rng.choice(rng.choice(groups))) for _ in range(2000)]
@@ -113,7 +121,7 @@ def test_quadsurd_approx_equals_fraction_rounding():
         q = rng.choice((-1, 1)) * max(1, rng.getrandbits(rng.randrange(1, 5000)))
         d = p * p + q * rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 5000))
         if d > 1 and math.isqrt(d) ** 2 != d:
-            surds.append(QuadSurd(p, q, d))
+            surds.append(quad_surd(p, q, d))
     assert max(x.D.bit_length() for x in surds) > 9000
     outcomes = []
     for x in surds:
@@ -149,7 +157,7 @@ def test_approx_decides_overflow_from_bit_lengths(monkeypatch):
         d = p * p - 2 * q * ((p * p - root * root) // (2 * q))
         if d <= 0 or math.isqrt(d) ** 2 == d or math.gcd(q // 2, p, (p * p - d) // (2 * q)) != 1:
             continue
-        x = QuadSurd(p, q, d)
+        x = quad_surd(p, q, d)
         assert (x.P, x.Q, x.D) == (p, q, d)
         roots.clear()
         try:
@@ -166,12 +174,12 @@ def test_approx_decides_overflow_from_bit_lengths(monkeypatch):
 
 def test_fixed_points_examples():
     plus, minus = fixed_points(W45)
-    assert {plus, minus} == {QuadSurd(3, 2, 13), QuadSurd(-3, -2, 13)}
+    assert {plus, minus} == {quad_surd(3, 2, 13), quad_surd(-3, -2, 13)}
     plus, minus = fixed_points(W_11_16)
     # content of the quadratic divides out to 19 x^2 - 9 x - 19 = 0
-    assert {plus, minus} == {QuadSurd(9, 38, 1525), QuadSurd(-9, -38, 1525)}
+    assert {plus, minus} == {quad_surd(9, 38, 1525), quad_surd(-9, -38, 1525)}
     plus, minus = fixed_points(Psl2Mat(2, 1, 1, 1))
-    assert {plus, minus} == {QuadSurd(1, 2, 5), QuadSurd(-1, -2, 5)}
+    assert {plus, minus} == {quad_surd(1, 2, 5), quad_surd(-1, -2, 5)}
 
 
 def test_fixed_points_product_is_minus_b_over_c():
@@ -190,9 +198,9 @@ def test_fixed_points_require_hyperbolic():
 
 
 @pytest.mark.parametrize("mat,expected", [
-    (W45, QuadSurd(3, 2, 13)),
-    (W_11_16, QuadSurd(9, 38, 1525)),
-    (W_23_28, QuadSurd(509, 338, 373325)),
+    (W45, quad_surd(3, 2, 13)),
+    (W_11_16, quad_surd(9, 38, 1525)),
+    (W_23_28, quad_surd(509, 338, 373325)),
 ])
 def test_far_endpoint_examples(mat, expected):
     assert far_endpoint(mat) == expected
@@ -248,8 +256,8 @@ def test_far_endpoint_equals_abs_comparison():
 
 def test_report_surds_equal_the_constructor_triples():
     # fixed_points, far_endpoint and dilatation build their triples without
-    # QuadSurd's reduction: each must equal the constructor's from the
-    # unreduced quadratic c x^2 + (d - a) x - b and from x^2 - |t| x + 1
+    # a reduction: each must equal quad_surd's from the unreduced quadratic
+    # c x^2 + (d - a) x - b and from x^2 - |t| x + 1
     sweep = [frieze_w(build_H(normalize(m, n)))[1] for m, n in enumerate_p0(200)]
     randoms = [mat for mat in _random_hyperbolic(random.Random(29)) if mat.b != mat.c]
     signs = [(m.d > m.a) - (m.d < m.a) for m in randoms]
@@ -257,20 +265,20 @@ def test_report_surds_equal_the_constructor_triples():
     for mat in sweep + randoms:
         a, b, c, d = mat
         disc, t = (a - d) ** 2 + 4 * b * c, abs(a + d)
-        plus, minus = QuadSurd(a - d, 2 * c, disc), QuadSurd(d - a, -2 * c, disc)
+        plus, minus = quad_surd(a - d, 2 * c, disc), quad_surd(d - a, -2 * c, disc)
         got = [*fixed_points(mat), far_endpoint(mat), dilatation(mat)]
-        want = [plus, minus, minus if d > a else plus, QuadSurd(t, 2, t * t - 4)]
+        want = [plus, minus, minus if d > a else plus, quad_surd(t, 2, t * t - 4)]
         assert all(type(x) is QuadSurd for x in got)
         assert [tuple(x) for x in got] == [tuple(x) for x in want], mat
 
 
 def test_cf_expand_examples():
-    assert cf_expand(QuadSurd(3, 2, 13)) == CfExpansion((), (3,))
-    cf = cf_expand(QuadSurd(9, 38, 1525))
+    assert cf_expand(quad_surd(3, 2, 13)) == CfExpansion((), (3,))
+    cf = cf_expand(quad_surd(9, 38, 1525))
     assert cf.preperiod == ()
     assert cf.period[0] == 1
     assert matches_cluster_period(cf, (1, 2, 1, 2, 1))
-    cf = cf_expand(QuadSurd(509, 338, 373325))
+    cf = cf_expand(quad_surd(509, 338, 373325))
     assert cf.preperiod == ()
     assert cf.period[0] == 3
     assert matches_cluster_period(cf, (2, 2, 3, 2, 2))
@@ -278,21 +286,21 @@ def test_cf_expand_examples():
 
 def test_cf_expand_with_preperiod():
     # sqrt(2) = [1; (2)]
-    assert cf_expand(QuadSurd(0, 1, 2)) == CfExpansion((1,), (2,))
+    assert cf_expand(quad_surd(0, 1, 2)) == CfExpansion((1,), (2,))
     # (1 + sqrt(2)) / 3 is not reduced, so a nonempty preperiod appears
-    cf = cf_expand(QuadSurd(1, 3, 2))
+    cf = cf_expand(quad_surd(1, 3, 2))
     assert cf.period
-    assert abs(cf_evaluate(cf, 60) - QuadSurd(1, 3, 2).approx()) < 1e-9
+    assert abs(cf_evaluate(cf, 60) - quad_surd(1, 3, 2).approx()) < 1e-9
 
 
 def test_cf_negative_q_and_negative_value():
     # negative Q and surds below 1 exercise the exact floor on both signs
-    x = QuadSurd(-5, -3, 7)          # (5 - sqrt(7)) / 3, about 0.785
+    x = quad_surd(-5, -3, 7)          # (5 - sqrt(7)) / 3, about 0.785
     cf = cf_expand(x)
     assert cf.preperiod[0] == 0
     assert cf.period
     assert abs(cf_evaluate(cf, 60) - x.approx()) < 1e-9
-    y = QuadSurd(-3, 2, 2)           # (-3 + sqrt(2)) / 2, negative
+    y = quad_surd(-3, 2, 2)           # (-3 + sqrt(2)) / 2, negative
     cf = cf_expand(y)
     assert cf.preperiod[0] == -1
     assert abs(cf_evaluate(cf, 60) - y.approx()) < 1e-9
@@ -301,7 +309,7 @@ def test_cf_negative_q_and_negative_value():
     for p in range(-12, 13):
         for q in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
             for d in (2, 3, 5, 7, 13):
-                z = QuadSurd(p, q, d)
+                z = quad_surd(p, q, d)
                 cf = cf_expand(z)
                 assert (cf.preperiod + cf.period)[0] == math.floor(z.approx()), (p, q, d)
 
@@ -324,14 +332,14 @@ def _cf_by_division(x):
 
 def test_cf_expand_equals_division_loop():
     rng = random.Random(7)
-    surds = [QuadSurd(-5, -3, 7), QuadSurd(-3, 2, 2), QuadSurd(1, 3, 2), QuadSurd(0, 1, 2),
-             QuadSurd(509, 338, 373325), far_endpoint(build_report(-500, 997).matrix)]
+    surds = [quad_surd(-5, -3, 7), quad_surd(-3, 2, 2), quad_surd(1, 3, 2), quad_surd(0, 1, 2),
+             quad_surd(509, 338, 373325), far_endpoint(build_report(-500, 997).matrix)]
     while len(surds) < 300:
         # already normalized (Q | D - P^2), so D stays below 2.1e5
         p, q = rng.randrange(-300, 301), rng.choice((-1, 1)) * rng.randrange(1, 300)
         d = p * p + q * rng.randrange(-400, 401)
         if d > 1 and math.isqrt(d) ** 2 != d:
-            surds.append(QuadSurd(p, q, d))
+            surds.append(quad_surd(p, q, d))
     assert any(x.Q < 0 for x in surds)
     assert sum(1 for x in surds if cf_expand(x).preperiod) > 100
     for x in surds:
@@ -339,14 +347,14 @@ def test_cf_expand_equals_division_loop():
 
 
 def test_cf_expand_equals_division_loop_on_wide_surds():
-    # surds in any form (QuadSurd rescales those with Q not dividing D - P^2)
+    # surds in any form (quad_surd rescales those with Q not dividing D - P^2)
     rng = random.Random(13)
     surds = []
     while len(surds) < 1500:
         p, q = rng.randrange(-10**4, 10**4), rng.choice((-1, 1)) * rng.randrange(1, 100)
         d = rng.randrange(2, 10**4)
         if math.isqrt(d) ** 2 != d:
-            surds.append(QuadSurd(p, q, d))
+            surds.append(quad_surd(p, q, d))
     assert sum(1 for x in surds if cf_expand(x).preperiod) > 1400
     for x in surds:
         assert cf_expand(x) == _cf_by_division(x), x
@@ -368,8 +376,8 @@ def test_cf_expand_equals_division_loop_on_kilobit_endpoints(label, terms):
 
 
 @pytest.mark.parametrize("surd,pre,period", [
-    (QuadSurd(86978, -76729, 55622233222), 3, 126476),
-    (QuadSurd(2361883652, -41847961, 1776320400567), 4, 275938),
+    (quad_surd(86978, -76729, 55622233222), 3, 126476),
+    (quad_surd(2361883652, -41847961, 1776320400567), 4, 275938),
 ])
 def test_cf_expand_long_periods(surd, pre, period):
     # periods beyond the former 100 000-step cap of the state dictionary
@@ -405,9 +413,12 @@ def test_batched_cf_expand_equals_cluster_terms(label, monkeypatch):
     assert math.isqrt(x.D).bit_length() > surd._BATCH_BITS
     cf = cf_expand(x)
     assert cf == CfExpansion((), tuple(2 * r - 1 for r in clusters_of(label).radii))
-    # every batch passes its certificate and they take all but the warm-up
+    # every batch passes its certificate; the far endpoint starts on its own
+    # mirror, so the walk stops past the middle of the period (each exit has
+    # J >= k/2), at the latest on the first probe past it, one probe gap on
     assert taken and 0 not in taken, taken
-    assert len(cf.period) - surd._BATCH <= sum(taken) < len(cf.period)
+    half = len(cf.period) // 2
+    assert half - surd._BATCH <= sum(taken) <= half + surd._PROBE_GAP * max(taken)
 
 
 def _fixed_point_above_one(cycle):
@@ -416,7 +427,7 @@ def _fixed_point_above_one(cycle):
     a, b, c, d = 1, 0, 0, 1
     for t in cycle:
         a, b, c, d = a * t + b, a, c * t + d, c
-    return QuadSurd(a - d, 2 * c, (a - d) ** 2 + 4 * b * c)
+    return quad_surd(a - d, 2 * c, (a - d) ** 2 + 4 * b * c)
 
 
 def test_batched_cf_expand_on_seeded_cycles(monkeypatch):
@@ -444,6 +455,100 @@ def test_batched_cf_expand_on_seeded_cycles(monkeypatch):
         parities.add(length % 2)
     assert parities == {0, 1}
     assert sum(taken) > 2000 and 0 in taken
+
+
+def _palindrome(rng, length, terms):
+    """A primitive palindromic cycle of the given length."""
+    while True:
+        half = [rng.choice(terms) for _ in range((length + 1) // 2)]
+        cycle = tuple(half + half[:length // 2][::-1])
+        word = ",".join(map(str, cycle)) + ","
+        if (word + word).find(word, 1) == len(word):
+            return cycle
+
+
+def test_mirror_exit_on_seeded_palindromic_cycles(monkeypatch):
+    # a palindromic cycle's fixed point above one starts on its own mirror
+    # (Q = Q_prev) and stops at the middle: lengths of both parities (no
+    # palindrome of length 2 is primitive) on the exact loop and past the
+    # batch threshold, where terms 2^70 + 1 leave no divisor in the 62-bit
+    # window and take exact steps between the batches
+    taken = _count_batches(monkeypatch)
+    rng = random.Random(41)
+    big = 2**70 + 1
+    cases = [(length, (1, 2, 3, 50)) for length in range(1, 41) if length != 2]
+    cases += [(rng.randrange(41, 900), (1, 1, 1, 2, 3, 50)) for _ in range(30)]
+    cases += [(length, (1, 1, 2, 3, 50) * 20 + (big,)) for length in (898, 899, 900)]
+    batched = set()
+    for length, terms in cases:
+        cycle = _palindrome(rng, length, terms)
+        x = _fixed_point_above_one(cycle)
+        assert (x.D - x.P * x.P) // x.Q == x.Q
+        taken.clear()
+        cf = cf_expand(x)
+        assert cf == CfExpansion((), cycle) == cf_expand_full_walk(x), cycle
+        if math.isqrt(x.D).bit_length() > surd._BATCH_BITS:
+            # the warm-up, the batches and one exact step per failed batch
+            # stop short of the whole cycle
+            assert surd._BATCH + sum(taken) + taken.count(0) < length, (length, taken)
+            batched.add((length % 2, 0 in taken))
+    assert batched == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_mirror_exit_equals_full_walk_on_endpoints():
+    # far endpoints start on their own mirror and take the mirror exit; near
+    # endpoints have a preperiod and walk their whole cycle.  The sweep's
+    # roots are under the batch threshold; the seeded labels, at levels 1 to
+    # 3 with |m| from 1500 to 3000, are kept when their roots are above it
+    sweep = [frieze_w(build_H(normalize(m, n)))[1] for m, n in enumerate_p0(200)]
+    for mat in sweep:
+        x = far_endpoint(mat)
+        assert cf_expand(x) == cf_expand_full_walk(x), mat
+    rng = random.Random(43)
+    labels = set()
+    while len(labels) < 150:
+        level = rng.choice((1, 1, 2, 3))
+        s = rng.randrange(1500 // (3 * level - 2), 3000 // (3 * level - 2))
+        q = rng.randrange(s)
+        if gcd(s, 6) != 1 or gcd(s, q) != 1:
+            continue
+        label = LevelSlope(level, s - q, q)
+        _, mat = frieze_w(build_H(normalize(*type_of(label))))
+        far = far_endpoint(mat)
+        if label in labels or math.isqrt(far.D).bit_length() <= surd._BATCH_BITS:
+            continue
+        labels.add(label)
+        near = next(x for x in fixed_points(mat) if x != far)
+        for x in (far, near):
+            assert cf_expand(x) == cf_expand_full_walk(x), (label, x == far)
+    assert {label.level for label in labels} == {1, 2, 3}
+
+
+def test_mirror_probe_rejects_fingerprint_collisions(monkeypatch):
+    # with a zero mask every probe's first state matches the newest kept
+    # batch end; the exact certificate rejects each match, so the walk runs
+    # on and closes on the whole cycle
+    monkeypatch.setattr(surd, "_MASK", 0)
+    taken = _count_batches(monkeypatch)
+    results = []
+
+    def recorded(*args):
+        results.append(mirror_of(*args))
+        return results[-1]
+
+    mirror_of = surd._mirror
+    monkeypatch.setattr(surd, "_mirror", recorded)
+    for label in (LevelSlope(1, 3000, 1), LevelSlope(2, 1000, 3)):
+        x = far_endpoint(frieze_w(build_H(normalize(*type_of(label))))[1])
+        taken.clear()
+        results.clear()
+        cf = cf_expand(x)
+        assert cf == cf_expand_full_walk(x)
+        assert len(cf.period) - surd._BATCH <= sum(taken) < len(cf.period)
+        # two batches in every _PROBE_GAP probed, from the second on, and
+        # each probe rejected
+        probed = [b for b in range(2, len(taken) + 1) if b % surd._PROBE_GAP < 2]
+        assert len(results) == len(probed) >= 4 and not any(results)
 
 
 @pytest.mark.parametrize("label", [LevelSlope(1, 2998, 1), LevelSlope(2, 1000, 3)])
@@ -506,12 +611,12 @@ def test_is_square_equals_root_check():
     near_squares = [k * k + e for k in range(20000) for e in (-1, 0, 1)]
     randoms = [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(20000)]
     for n in [-4, -1] + list(range(200000)) + near_squares + randoms:
-        assert surd._is_square(n) == by_root(n), n
-    assert all(surd._is_square(rng.getrandbits(2000) ** 2) for _ in range(200))
+        assert is_square(n) == by_root(n), n
+    assert all(is_square(rng.getrandbits(2000) ** 2) for _ in range(200))
 
 
 def test_cf_expand_rejects_unnormalized_state():
-    x = tuple.__new__(QuadSurd, (3, 3, 13))  # 3 does not divide 13 - 9
+    x = QuadSurd(3, 3, 13)  # 3 does not divide 13 - 9
     with pytest.raises(InvariantError):
         cf_expand(x)
 
@@ -533,7 +638,7 @@ def test_cf_evaluate_rejects_empty_period_and_no_terms():
 
 def test_cf_float_oracle():
     # first quotients agree with a plain floating continued fraction
-    for surd in (QuadSurd(9, 38, 1525), QuadSurd(509, 338, 373325), QuadSurd(3, 2, 13)):
+    for surd in (quad_surd(9, 38, 1525), quad_surd(509, 338, 373325), quad_surd(3, 2, 13)):
         cf = cf_expand(surd)
         quots = list(cf.preperiod) + list(cf.period) * 4
         x = surd.approx()
@@ -564,8 +669,8 @@ def test_matches_cluster_period_is_exact():
 
 
 def test_dilatation_examples():
-    assert dilatation(Psl2Mat(2, 1, 1, 1)) == QuadSurd(3, 2, 5)
-    assert dilatation(W45) == QuadSurd(11, 2, 117)
+    assert dilatation(Psl2Mat(2, 1, 1, 1)) == quad_surd(3, 2, 5)
+    assert dilatation(W45) == quad_surd(11, 2, 117)
     # trace invariance under inversion
     assert dilatation(mat_inverse(W45)) == dilatation(W45)
 
