@@ -201,14 +201,19 @@ def frieze_to_matrix(word: str) -> Psl2Mat:
     second_half swaps p<->d, b<->q, which is x -> x' = A x^-1 A letter by
     letter (A b A = d, A p A = q), so as h reads x_n ... x_1 backwards,
     second_half(h) = x_n' ... x_1' = A h^-1 A, since A^2 = 1.  For
-    A = [[0,1],[-1,0]], A X^-1 A = -X^T, which is X^T in PSL(2,Z)."""
+    A = [[0,1],[-1,0]], A X^-1 A = -X^T, which is X^T in PSL(2,Z).
+
+    The square skips Psl2Mat's checks, as it passes both: _product(h) is
+    a Psl2Mat that passed its own determinant check, and
+    det(X X^T) = det(X)^2 = 1; its first entry a^2 + b^2 >= 1 is positive,
+    so it is already the sign-normalized representative."""
     check_frieze(word)
     h = word[:len(word) // 2]
     if len(word) % 2 or h != h[::-1] or word[len(h):] != h.translate(_HALF_SWAP):
         return _product(word)
     a, b, c, d = _product(h)
     s = a * c + b * d
-    return Psl2Mat(a * a + b * b, s, s, c * c + d * d)
+    return tuple.__new__(Psl2Mat, (a * a + b * b, s, s, c * c + d * d))
 
 
 def frieze_w(half: str) -> tuple[str, Psl2Mat]:

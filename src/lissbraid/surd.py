@@ -13,10 +13,10 @@ of quotients off the top 62 bits of the state in small integers, moves the
 exact state across each batch with a few big-by-small products, and keeps
 a batch only after an exact certificate; the result is the same.  A
 cycle that starts on its own mirror, as every far endpoint of a report
-does, is walked to its middle only.  On CPython 3.11 (2-vCPU Xeon), exact
-steps alone take 6.5 ms at |m| = 10^4 (label (1, 1/10000)) and 0.53 s at
-|m| = 10^5 (label (1, 10/99991)); with the batches, 2.6 ms and 0.11 s.
-Over the whole cycle these were 11.7 ms, 1.05 s, 4.0 ms and 0.18 s.
+does, is walked to its middle only.  On CPython 3.11 (shared 2-vCPU Xeon),
+exact steps alone take 7.3 ms at |m| = 10^4 (label (1, 1/10000)) and 0.56 s
+at |m| = 10^5 (label (1, 10/99991)); with the batches, 2.8 ms and 0.11 s.
+The whole cycle takes 1.5 to 2 times as long.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class CfExpansion(namedtuple("CfExpansion", "preperiod period")):
 # cf_expand takes Lehmer batches once its root has more bits than this (the
 # measured crossover on CPython 3.11 and 3.12); no sweep root comes near it
 _BATCH_BITS = 1024
-# the most quotients in one batch, and the exact steps that open a cycle
+# the exact steps that open a cycle; a batch takes at most 45 < _BATCH quotients
 _BATCH = 64
 # A cycle that starts on its own mirror probes batches t _PROBE_GAP and
 # t _PROBE_GAP + 1 for it, at about 0.3 us a quotient.  Probes before the
@@ -165,14 +165,17 @@ def _batch(u: int, q: int, q_prev: int, root: int):
         return None
     n, d, a, b = n0, d0, 1, 0
     quotients = []
-    for _ in range(_BATCH):
-        t, r = 1, n - d
-        if r >= d:
+    append = quotients.append
+    while True:
+        r = n - d
+        if r < d:
+            t, a_next = 1, a + b
+        else:
             t, r = divmod(n, d)
-        a_next = t * a + b
+            a_next = t * a + b
         if r < a_next or d - r < a_next + a:
             break
-        quotients.append(t)
+        append(t)
         n, d = d, r
         a, b = a_next, a
     if not quotients:
@@ -255,8 +258,10 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     box to (n_j + sigma(E e - B e')) / (m_j + sigma(A e' - C e)), which is
     > 1 when m_j >= A and n_j - m_j >= A + B, as A >= C and B >= E.  So the
     loop stops before the first quotient that breaks this (a condition of
-    Jebelean's kind), or after _BATCH of them, which it never reaches:
-    n > A m_j >= A^2 and A >= Fibonacci(j + 1) give j <= 45.
+    Jebelean's kind).  It needs no step counter: each kept step leaves
+    1 <= A <= m_j < m_{j-1}, so m falls strictly, and n > A m_j >= A^2 and
+    A >= Fibonacci(j + 1) give j <= 45.  A quotient of 1 takes no divmod,
+    and its A is the sum of the two before it.
 
     With x = g y, y is a root of the form Q X^2 - 2P XY - Q_prev Y^2
     composed with g and scaled by sigma:
@@ -277,7 +282,7 @@ def cf_expand(x: QuadSurd) -> CfExpansion:
     Otherwise a batch that ends at index t on kept state i closes
     L = t - i: the states of one period are distinct, so no batch ends on a
     kept state before index L, and the one that passes L, by at most
-    _BATCH steps, ends on index L + i with i < _BATCH.
+    45 < _BATCH steps, ends on index L + i with i < _BATCH.
 
     Mirror exit.  rho(u, Q, Q_prev) = (u, Q_prev, Q) is y -> -1/y' on
     states, as (P - sqrt(D))(P + sqrt(D)) = -Q Q_prev.  By Galois' theorem

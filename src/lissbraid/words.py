@@ -106,10 +106,19 @@ def palindromic_christoffel(p: int, q: int) -> str:
 
 
 def varphi_n(level: int, word: str) -> tuple[int, ...]:
-    """Letter replacement 0 -> N, 1 -> N+1."""
+    """Letter replacement 0 -> N, 1 -> N+1.
+
+    For N + 1 <= 255 one bytes.translate writes the word as the bytes
+    (N, N+1), and tuple() reads them back as ints; CPython shares one int
+    object for each of 0 to 256, so no letter allocates.  A byte holds
+    values below 256 only, so higher levels map each letter through a dict.
+    """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    return tuple(map({"0": level, "1": level + 1}.__getitem__, _check_binary(word)))
+    _check_binary(word)
+    if level < 255:
+        return tuple(word.encode().translate(bytes.maketrans(b"01", bytes((level, level + 1)))))
+    return tuple(map({"0": level, "1": level + 1}.__getitem__, word))
 
 
 def radius_blocks(level: int, word: str, pairs: tuple[str, ...]) -> str:

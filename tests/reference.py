@@ -3,7 +3,8 @@
 Each one restates a property of the paper's objects (letter factors,
 word and matrix inverses, conjugacy and the S3 image of pbqd-words, the
 level-lifting substitution, difference sequences and their cluster
-lengths, the reducing surd constructor, the continued fraction walked
+lengths, the reducing surd constructor, a Lehmer batch of continued
+fraction quotients step by counted step, the continued fraction walked
 over its whole period, the value of a continued fraction, the square
 part of a discriminant, reduced syzygy words, region itineraries and the
 third-turn symmetry of the shape curve) that the tests check the
@@ -23,7 +24,7 @@ from lissbraid.algebra import _FACTOR, _INVERSE, Psl2Mat, check_frieze, reduce_f
 from lissbraid.errors import BorderHit, InvariantError, Unstable
 from lissbraid.lissajous import NormalizedType, _check_collision_free
 from lissbraid.shapetrace import _THIRD, CROSSING_GUARD, DEFAULT_RATIO, psi_values, start_offset
-from lissbraid.surd import _BATCH, _BATCH_BITS, _PRIMES, _PRIMORIAL, CfExpansion, QuadSurd, _batch
+from lissbraid.surd import _BATCH, _BATCH_BITS, _PRIMES, _PRIMORIAL, CfExpansion, QuadSurd
 from lissbraid.words import _check_binary
 
 # --- algebra ---------------------------------------------------------------
@@ -149,10 +150,45 @@ def quad_surd(P: int, Q: int, D: int) -> QuadSurd:
     return QuadSurd(2 * p // g, 2 * q // g, 4 * d // (g * g))
 
 
+def lehmer_batch(u: int, q: int, q_prev: int, root: int):
+    """surd._batch with a step counter and one multiply per quotient: up
+    to _BATCH quotients read off the top 62 bits of (u, Q), then the
+    certified state; surd.cf_expand's docstring has the proof."""
+    s = u.bit_length() - 62
+    n0, d0 = u >> s, q >> s
+    if not d0:
+        return None
+    n, d, a, b = n0, d0, 1, 0
+    quotients = []
+    for _ in range(_BATCH):
+        t, r = 1, n - d
+        if r >= d:
+            t, r = divmod(n, d)
+        a_next = t * a + b
+        if r < a_next or d - r < a_next + a:
+            break
+        quotients.append(t)
+        n, d = d, r
+        a, b = a_next, a
+    if not quotients:
+        return None
+    sigma = -1 if len(quotients) & 1 else 1
+    c, e = (a * d0 - sigma * d) // n0, (b * d0 + sigma * n) // n0
+    p = u - root
+    x, y = q * a - p * c, p * a + q_prev * c
+    x2, y2 = q * b - p * e, p * b + q_prev * e
+    a, b, c, e = sigma * a, sigma * b, sigma * c, sigma * e
+    q_next, u_next = a * x - c * y, e * y - b * x + root
+    if 0 < q_next <= u_next:
+        return quotients, u_next, q_next, e * y2 - b * x2
+    return None
+
+
 def cf_expand_full_walk(x: QuadSurd) -> CfExpansion:
-    """surd.cf_expand without its mirror exit: every cycle is walked
-    whole, and closes on the exact steps or on a batch that ends on a
-    kept warm-up state.  surd.cf_expand's docstring has the proofs."""
+    """surd.cf_expand without its mirror exit, on lehmer_batch: every
+    cycle is walked whole, and closes on the exact steps or on a batch
+    that ends on a kept warm-up state.  surd.cf_expand's docstring has the
+    proofs."""
     p, q, d = x
     q_prev, rem = divmod(d - p * p, q)
     if rem:
@@ -174,7 +210,7 @@ def cf_expand_full_walk(x: QuadSurd) -> CfExpansion:
             k = len(terms) - start
             if k < _BATCH:
                 seen[u, q] = k
-            elif batch := _batch(u, q, q_prev, root):
+            elif batch := lehmer_batch(u, q, q_prev, root):
                 quotients, u, q, q_prev = batch
                 terms += quotients
                 k = seen.get((u, q))

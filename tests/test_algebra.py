@@ -144,8 +144,24 @@ def test_w_shaped_words_square_the_product_over_their_half(monkeypatch):
     for h in _palindromes(random.Random(17)):
         w = h + second_half(h)
         calls.clear()
-        assert frieze_to_matrix(w) == _left_fold(LETTER_MATS[ch] for ch in w), h
+        mat = frieze_to_matrix(w)
+        assert mat == _left_fold(LETTER_MATS[ch] for ch in w), h
         assert calls == [h], h
+        # the square is built unchecked; it is the valid representative
+        assert type(mat) is Psl2Mat and mat.a * mat.d - mat.b * mat.c == 1 and mat.a > 0, h
+
+
+def test_w_shaped_word_over_a_bad_leaf_fails_the_half_product_check(monkeypatch):
+    # the square skips Psl2Mat's determinant check; _product's check on the
+    # half still runs, so a leaf of determinant 2 is caught, alone or
+    # inside a longer half
+    head = "pdqbpqpbqdpbqdqpb"
+    for h in ("pqp", head + head[-2::-1]):
+        leaves = algebra._Leaves()
+        monkeypatch.setattr(algebra, "_LEAVES", leaves)
+        leaves[h[16:32] or h] = (1, 1, 0, 2)
+        with pytest.raises(ValueError, match="determinant is not 1"):
+            frieze_to_matrix(h + second_half(h))
 
 
 def test_near_w_shaped_words_take_the_whole_product(monkeypatch):

@@ -15,6 +15,7 @@ from lissbraid.classify import (
 from lissbraid.errors import InvalidLabel, NotPrimitive
 from lissbraid.lissajous import build_H, normalize
 from lissbraid.surd import CfExpansion, cf_expand, far_endpoint
+from lissbraid.words import palindromic_christoffel
 
 
 @pytest.mark.parametrize("mn,label", [
@@ -155,9 +156,14 @@ def test_cluster_letters_equal_direct_word_small():
         assert clusters_of(level_slope_of(m, n)).letters == build_H(normalize(m, n))
 
 
-@pytest.mark.parametrize("label", [LevelSlope(1, 1000, 1), LevelSlope(50, 100, 1)])
+@pytest.mark.parametrize("label", [
+    LevelSlope(1, 1000, 1), LevelSlope(50, 100, 1), LevelSlope(300, 7, 4),
+])
 def test_clusters_and_cf_at_large_m(label):
+    # level 300 is past the byte translate of varphi_n
     h = build_H(normalize(*type_of(label)))
+    word = palindromic_christoffel(label.p, label.q)
+    assert clusters_of(label).radii == tuple(label.level + int(ch) for ch in word)
     assert clusters_of(label).letters == h
     _, mat = frieze_w(h)
     cf = cf_expand(far_endpoint(mat))

@@ -20,10 +20,12 @@ from lissbraid.surd import (
     fixed_points,
     matches_cluster_period,
 )
+import reference
 from reference import (
     cf_evaluate,
     cf_expand_full_walk,
     is_square,
+    lehmer_batch,
     mat_inverse,
     quad_surd,
     split_square_by_primes,
@@ -455,6 +457,36 @@ def test_batched_cf_expand_on_seeded_cycles(monkeypatch):
         parities.add(length % 2)
     assert parities == {0, 1}
     assert sum(taken) > 2000 and 0 in taken
+
+
+def test_batch_equals_the_counted_reference_batch(monkeypatch):
+    # the batch loop, with its quotient-1 branch and no step counter,
+    # returns what the counted loop returns, None included, on the states
+    # of the batched full walks of three far endpoints and of seeded cycles
+    # whose 62-bit windows hold long runs of 1 and quotients of 2^30 or
+    # more; the walks run on the reference batch, so the states do not
+    # depend on the loop under test
+    states = []
+    monkeypatch.setattr(reference, "lehmer_batch",
+                        lambda *state: states.append(state) or lehmer_batch(*state))
+    for label in (LevelSlope(1, 10000, 1), LevelSlope(2, 1000, 3), LevelSlope(3, 29001, 1000)):
+        cf_expand_full_walk(far_endpoint(frieze_w(build_H(normalize(*type_of(label))))[1]))
+    rng = random.Random(47)
+    for _ in range(12):
+        cycle = []
+        while len(cycle) < 1000:
+            kind = rng.randrange(3)
+            cycle += ([1] * rng.randrange(20, 90) if kind == 0 else
+                      [rng.randrange(2**30, 2**50)] if kind == 1 else [rng.randrange(2, 50)])
+        x = _fixed_point_above_one(cycle)
+        assert math.isqrt(x.D).bit_length() > surd._BATCH_BITS
+        cf_expand_full_walk(x)
+    results = [lehmer_batch(*state) for state in states]
+    assert [surd._batch(*state) for state in states] == results
+    assert len(states) >= 2000 and None in results
+    assert max(len(batch[0]) for batch in results if batch and set(batch[0]) == {1}) >= 40
+    windows = [(u >> u.bit_length() - 62, q >> u.bit_length() - 62) for u, q, _, _ in states]
+    assert max(n // d for n, d in windows if d) >= 2**30
 
 
 def _palindrome(rng, length, terms):

@@ -159,14 +159,15 @@ def test_varphi_n_examples(level, w, expected):
 
 
 def test_varphi_n_matches_per_letter_form():
+    # levels to 254 translate bytes, higher ones map letters through a dict
     rng = random.Random(5)
-    for _ in range(200):
-        level = rng.randint(1, 60)
+    for _ in range(300):
+        level = rng.choice((rng.randint(1, 60), 253, 254, 255, 256, 10**6))
         w = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
         assert varphi_n(level, w) == tuple(level + int(ch) for ch in w)
 
 
-@pytest.mark.parametrize("level,w", [(0, "01"), (1, "012"), (2, "0a")])
+@pytest.mark.parametrize("level,w", [(0, "01"), (1, "012"), (2, "0a"), (300, "01x")])
 def test_varphi_n_rejects_bad_input(level, w):
     with pytest.raises(ValueError):
         varphi_n(level, w)
